@@ -1,7 +1,7 @@
 """Compact genetic algorithms with a capacity-bounded fitness cache.
 
-The algorithm runners take any cached evaluator, so one code path serves
-cached and uncached execution; a zero-capacity cache is the uncached case.
+``Variant.run`` takes any cached evaluator, so one code path serves cached
+and uncached execution; a zero-capacity cache is the uncached case.
 """
 
 from .algorithms import (
@@ -10,11 +10,6 @@ from .algorithms import (
     RunStats,
     Variant,
     default_inheritance_length,
-    run_cga,
-    run_cga_round_robin,
-    run_cga_tournament,
-    run_ne_cga,
-    run_pe_cga,
 )
 from .cache import CachedEvaluator, CachePolicy, FitnessCache
 from .chromosome import Chromosome, Rng
@@ -38,11 +33,6 @@ __all__ = [
     "RunStats",
     "Variant",
     "default_inheritance_length",
-    "run_cga",
-    "run_cga_round_robin",
-    "run_cga_tournament",
-    "run_ne_cga",
-    "run_pe_cga",
     "CachedEvaluator",
     "CachePolicy",
     "FitnessCache",

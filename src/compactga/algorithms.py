@@ -1,5 +1,17 @@
 """The compact-GA family, parameterized over a fitness evaluator.
 
+The five variants come from two papers and run on two loops:
+
+- Harik, Lobo & Goldberg, "The compact genetic algorithm", IEEE Trans.
+  Evol. Comput. 3(4), 1999: ``cga`` and its tournament (``cga-t``) and
+  round-robin (``cga-rr``) forms. One sampled loop runs all three: sample k
+  chromosomes, evaluate them in sampling order, then apply a list of
+  (winner, loser) updates. ``cga`` is ``cga-t(s=2)`` and ``cga-rr(m=2)``.
+- Ahn & Ramakrishna, "Elitism-based compact genetic algorithms", IEEE
+  Trans. Evol. Comput. 7(4), 2003: persistent (``pe-cga``) and nonpersistent
+  (``ne-cga``) elitism. One elitist loop runs both; ``pe-cga`` is
+  ``ne-cga`` with an unbounded inheritance length.
+
 Cached and uncached runs share one code path: the evaluator decides whether
 a lookup hits a cache or reaches the fitness function, and nothing else in a
 run depends on it. Cache operations consume no random draws, so for a fixed
@@ -11,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .cache import CachedEvaluator
 from .chromosome import Chromosome, Rng
@@ -58,220 +70,80 @@ def default_inheritance_length(population_size: int) -> int:
     return max(1, math.ceil(population_size / 10))
 
 
-class _Counters:
-    """Snapshot of evaluator counters so stats report per-run deltas."""
-
-    def __init__(self, evaluator: CachedEvaluator):
-        self.evaluator = evaluator
-        self.hits0, self.misses0 = evaluator.cache.counters()
-        self.evals0 = evaluator.eval_count
-
-    def finish(self, pv, iterations, updates, elite=None, elite_fitness=None) -> RunStats:
-        solution = pv.decode()
-        hits, misses = self.evaluator.cache.counters()
-        return RunStats(
-            evaluations=self.evaluator.eval_count - self.evals0,
-            hits=hits - self.hits0,
-            misses=misses - self.misses0,
-            iterations=iterations,
-            solution=solution,
-            solution_fitness=self.evaluator.fitness_fn(solution),
-            final_pv=pv.numerators,
-            elite=elite,
-            elite_fitness=elite_fitness,
-            updates=updates,
-        )
+def _round_robin_pairs(candidates, fitnesses):
+    """Every pair i < j competes, in order: k(k-1)/2 updates."""
+    k = len(candidates)
+    return [
+        compete(candidates[i], fitnesses[i], candidates[j], fitnesses[j])
+        for i in range(k - 1)
+        for j in range(i + 1, k)
+    ]
 
 
-def _check_run_args(length: int, population_size: int) -> None:
-    if length < 1:
-        raise ValueError(f"length must be positive, got {length}")
-    if population_size < 2:
-        raise ValueError(f"population size must be at least 2, got {population_size}")
+def _tournament_pairs(candidates, fitnesses):
+    """The earliest-sampled maximum beats each of the others, in sampling order."""
+    best = max(range(len(candidates)), key=fitnesses.__getitem__)
+    winner = candidates[best]
+    return [(winner, c) for j, c in enumerate(candidates) if j != best]
 
 
-def _cap_check(iterations: int, max_iterations: int, what: str) -> None:
-    if iterations >= max_iterations:
-        raise IterationLimitError(
-            f"{what} not converged after {iterations} iterations", iterations
-        )
-
-
-def run_cga(
-    length: int,
-    population_size: int,
+def _sampled_loop(
+    pv: ProbabilityVector,
+    k: int,
+    pairs: Callable[[list[Chromosome], list], list[tuple[Chromosome, Chromosome]]],
     evaluator: CachedEvaluator,
     rng: Rng,
-    *,
-    max_iterations: int = DEFAULT_ITERATION_CAP,
-    trace: bool = False,
-) -> RunStats:
-    """Baseline loop: sample two chromosomes, move the vector toward the winner."""
-    _check_run_args(length, population_size)
-    pv = ProbabilityVector(length, population_size)
-    counters = _Counters(evaluator)
-    updates = [] if trace else None
-    iterations = 0
-    while not pv.is_converged():
-        _cap_check(iterations, max_iterations, f"cga(l={length}, n={population_size})")
-        iterations += 1
-        a = pv.sample(rng)
-        b = pv.sample(rng)
-        fa = evaluator(a)
-        fb = evaluator(b)
-        winner, loser = compete(a, fa, b, fb)
-        pv.update(winner, loser)
-        if updates is not None:
-            updates.append((winner, loser))
-    return counters.finish(pv, iterations, updates)
+    max_iterations: int,
+    updates: Optional[list],
+    what: str,
+) -> int:
+    """Sample k chromosomes, evaluate them in sampling order, apply ``pairs``.
 
-
-def run_cga_tournament(
-    length: int,
-    population_size: int,
-    s: int,
-    evaluator: CachedEvaluator,
-    rng: Rng,
-    *,
-    max_iterations: int = DEFAULT_ITERATION_CAP,
-    trace: bool = False,
-) -> RunStats:
-    """Tournament of size s: the best of s samples beats each of the others.
-
-    The best is the earliest-sampled maximum, and the s-1 updates run in
-    sampling order, so the trajectory is deterministic.
+    ``pairs(candidates, fitnesses)`` gives one iteration's (winner, loser)
+    updates in the order they are applied. Returns the iteration count.
     """
-    _check_run_args(length, population_size)
-    if s < 2:
-        raise ValueError(f"tournament size must be at least 2, got {s}")
-    pv = ProbabilityVector(length, population_size)
-    counters = _Counters(evaluator)
-    updates = [] if trace else None
     iterations = 0
     while not pv.is_converged():
-        _cap_check(iterations, max_iterations, f"cga-t(s={s}, l={length}, n={population_size})")
+        if iterations >= max_iterations:
+            raise IterationLimitError(f"{what} not converged after {iterations} iterations", iterations)
         iterations += 1
-        candidates = [pv.sample(rng) for _ in range(s)]
+        candidates = [pv.sample(rng) for _ in range(k)]
         fitnesses = [evaluator(c) for c in candidates]
-        best = max(range(s), key=fitnesses.__getitem__)
-        winner = candidates[best]
-        for j in range(s):
-            if j == best:
-                continue
-            pv.update(winner, candidates[j])
+        for winner, loser in pairs(candidates, fitnesses):
+            pv.update(winner, loser)
             if updates is not None:
-                updates.append((winner, candidates[j]))
-    return counters.finish(pv, iterations, updates)
+                updates.append((winner, loser))
+    return iterations
 
 
-def run_cga_round_robin(
-    length: int,
-    population_size: int,
-    m: int,
+def _elitist_loop(
+    pv: ProbabilityVector,
+    eta: Optional[int],
     evaluator: CachedEvaluator,
     rng: Rng,
-    *,
-    max_iterations: int = DEFAULT_ITERATION_CAP,
-    trace: bool = False,
-) -> RunStats:
-    """Round-robin tournament: every pair of the m samples competes, m(m-1)/2 updates."""
-    _check_run_args(length, population_size)
-    if m < 2:
-        raise ValueError(f"round-robin size must be at least 2, got {m}")
-    pv = ProbabilityVector(length, population_size)
-    counters = _Counters(evaluator)
-    updates = [] if trace else None
-    iterations = 0
-    while not pv.is_converged():
-        _cap_check(iterations, max_iterations, f"cga-rr(m={m}, l={length}, n={population_size})")
-        iterations += 1
-        candidates = [pv.sample(rng) for _ in range(m)]
-        fitnesses = [evaluator(c) for c in candidates]
-        for i in range(m - 1):
-            for j in range(i + 1, m):
-                winner, loser = compete(candidates[i], fitnesses[i], candidates[j], fitnesses[j])
-                pv.update(winner, loser)
-                if updates is not None:
-                    updates.append((winner, loser))
-    return counters.finish(pv, iterations, updates)
-
-
-def run_pe_cga(
-    length: int,
-    population_size: int,
-    evaluator: CachedEvaluator,
-    rng: Rng,
-    *,
-    max_iterations: int = DEFAULT_ITERATION_CAP,
-    trace: bool = False,
-) -> RunStats:
-    """Persistent elitism: the reigning winner survives until strictly beaten.
+    max_iterations: int,
+    updates: Optional[list],
+    what: str,
+) -> tuple[int, Chromosome, int | float]:
+    """The reigning elite meets one new challenger per iteration.
 
     The first iteration samples two chromosomes and crowns the winner; every
     later iteration samples one challenger, so the elite's fitness is kept
-    and never looked up again. A tie keeps the elite.
+    and never looked up again. A tie keeps the elite. With ``eta=None``
+    (persistent elitism) the elite reigns until strictly beaten. Otherwise,
+    once it has survived ``eta`` defenses, the next iteration still runs the
+    normal competition and update, then installs that iteration's challenger
+    as elite regardless of fitness; losing by fitness resets the survival
+    count as well.
+
+    Returns (iterations, elite, elite fitness).
     """
-    _check_run_args(length, population_size)
-    pv = ProbabilityVector(length, population_size)
-    counters = _Counters(evaluator)
-    updates = [] if trace else None
     iterations = 0
-    elite = None
-    elite_fitness = None
-    while not pv.is_converged():
-        _cap_check(iterations, max_iterations, f"pe-cga(l={length}, n={population_size})")
-        iterations += 1
-        if elite is None:
-            a = pv.sample(rng)
-            b = pv.sample(rng)
-            fa = evaluator(a)
-            fb = evaluator(b)
-            elite, loser = compete(a, fa, b, fb)
-            elite_fitness = fa if elite is a else fb
-            pv.update(elite, loser)
-            if updates is not None:
-                updates.append((elite, loser))
-            continue
-        challenger = pv.sample(rng)
-        challenger_fitness = evaluator(challenger)
-        winner, loser = compete(elite, elite_fitness, challenger, challenger_fitness)
-        pv.update(winner, loser)
-        if updates is not None:
-            updates.append((winner, loser))
-        if winner is not elite:
-            elite, elite_fitness = challenger, challenger_fitness
-    return counters.finish(pv, iterations, updates, elite, elite_fitness)
-
-
-def run_ne_cga(
-    length: int,
-    population_size: int,
-    eta: int,
-    evaluator: CachedEvaluator,
-    rng: Rng,
-    *,
-    max_iterations: int = DEFAULT_ITERATION_CAP,
-    trace: bool = False,
-) -> RunStats:
-    """Nonpersistent elitism: an elite that survives eta defenses is forced out.
-
-    Once the survival counter reaches eta, the next iteration still runs the
-    normal competition and vector update, then installs that iteration's
-    challenger as elite regardless of fitness and resets the counter. Losing
-    by fitness resets the counter as well.
-    """
-    _check_run_args(length, population_size)
-    if eta < 1:
-        raise ValueError(f"inheritance length must be at least 1, got {eta}")
-    pv = ProbabilityVector(length, population_size)
-    counters = _Counters(evaluator)
-    updates = [] if trace else None
-    iterations = 0
-    elite = None
-    elite_fitness = None
+    elite = elite_fitness = None
     survivals = 0
     while not pv.is_converged():
-        _cap_check(iterations, max_iterations, f"ne-cga(eta={eta}, l={length}, n={population_size})")
+        if iterations >= max_iterations:
+            raise IterationLimitError(f"{what} not converged after {iterations} iterations", iterations)
         iterations += 1
         if elite is None:
             a = pv.sample(rng)
@@ -284,19 +156,18 @@ def run_ne_cga(
             if updates is not None:
                 updates.append((elite, loser))
             continue
-        force_replace = survivals >= eta
         challenger = pv.sample(rng)
         challenger_fitness = evaluator(challenger)
         winner, loser = compete(elite, elite_fitness, challenger, challenger_fitness)
         pv.update(winner, loser)
         if updates is not None:
             updates.append((winner, loser))
-        if winner is elite and not force_replace:
+        if winner is elite and (eta is None or survivals < eta):
             survivals += 1
         else:
             elite, elite_fitness = challenger, challenger_fitness
             survivals = 0
-    return counters.finish(pv, iterations, updates, elite, elite_fitness)
+    return iterations, elite, elite_fitness
 
 
 @dataclass(frozen=True)
@@ -341,15 +212,37 @@ class Variant:
         max_iterations: int = DEFAULT_ITERATION_CAP,
         trace: bool = False,
     ) -> RunStats:
-        """Execute one run of this variant."""
-        kw = dict(max_iterations=max_iterations, trace=trace)
-        if self.kind == "cga":
-            return run_cga(length, population_size, evaluator, rng, **kw)
-        if self.kind == "cga-t":
-            return run_cga_tournament(length, population_size, self.s, evaluator, rng, **kw)
-        if self.kind == "cga-rr":
-            return run_cga_round_robin(length, population_size, self.m, evaluator, rng, **kw)
+        """Execute one run of this variant; ``trace=True`` records every update."""
+        if population_size < 2:
+            raise ValueError(f"population size must be at least 2, got {population_size}")
+        pv = ProbabilityVector(length, population_size)
+        hits0, misses0 = evaluator.cache.counters()
+        evals0 = evaluator.eval_count
+        updates = [] if trace else None
+        loop_args = (evaluator, rng, max_iterations, updates,
+                     f"{self.label} (l={length}, n={population_size})")
+        elite = elite_fitness = None
         if self.kind == "pe-cga":
-            return run_pe_cga(length, population_size, evaluator, rng, **kw)
-        eta = self.eta if self.eta is not None else default_inheritance_length(population_size)
-        return run_ne_cga(length, population_size, eta, evaluator, rng, **kw)
+            iterations, elite, elite_fitness = _elitist_loop(pv, None, *loop_args)
+        elif self.kind == "ne-cga":
+            eta = self.eta if self.eta is not None else default_inheritance_length(population_size)
+            iterations, elite, elite_fitness = _elitist_loop(pv, eta, *loop_args)
+        elif self.kind == "cga-t":
+            iterations = _sampled_loop(pv, self.s, _tournament_pairs, *loop_args)
+        else:
+            k = self.m if self.kind == "cga-rr" else 2
+            iterations = _sampled_loop(pv, k, _round_robin_pairs, *loop_args)
+        solution = pv.decode()
+        hits, misses = evaluator.cache.counters()
+        return RunStats(
+            evaluations=evaluator.eval_count - evals0,
+            hits=hits - hits0,
+            misses=misses - misses0,
+            iterations=iterations,
+            solution=solution,
+            solution_fitness=evaluator.fitness_fn(solution),
+            final_pv=pv.numerators,
+            elite=elite,
+            elite_fitness=elite_fitness,
+            updates=updates,
+        )

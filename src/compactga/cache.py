@@ -1,25 +1,26 @@
 """Capacity-bounded chromosome-to-fitness store with FIFO or LRU eviction.
 
-Layout: a fixed-size chained hash table over each chromosome's packed bytes
-gives O(1) average lookup, and every stored entry is also threaded onto a
-doubly linked eviction list whose front is the next victim and whose rear is
-the newest (FIFO) or most recently used (LRU) entry. FIFO lookups never
-reorder the list; an LRU hit moves the entry to the rear.
+The compact GA of Harik, Lobo & Goldberg (IEEE Trans. Evol. Comput., 1999)
+and the elitist forms of Ahn & Ramakrishna (IEEE Trans. Evol. Comput., 2003)
+sample the same chromosomes more and more often as the probability vector
+converges, so a small cache in front of the fitness function saves
+evaluations without changing the run.
 
-The slot count is the smallest power of two >= 2 * max(capacity, 1), fixed
-at construction. Capacity never changes, so the load factor stays <= 1/2
-and no rehashing is ever needed. Slot indexing uses CRC-32 of the packed
-bit words: well distributed, cheap, and stable across processes (Python's
-builtin ``hash`` is salted per process).
+The entries live in one ``collections.OrderedDict`` in eviction order: the
+front is the next victim and the rear is the newest (FIFO) or most recently
+used (LRU) entry. FIFO lookups never reorder it; an LRU hit moves the entry
+to the rear with ``move_to_end``, and eviction pops the front.
 """
 
 from __future__ import annotations
 
 import enum
-import zlib
+from collections import OrderedDict
 from typing import Iterator
 
 from .chromosome import Chromosome
+
+_MISSING = object()
 
 
 class CachePolicy(enum.Enum):
@@ -27,16 +28,6 @@ class CachePolicy(enum.Enum):
 
     FIFO = "fifo"
     LRU = "lru"
-
-
-class _Node:
-    __slots__ = ("key", "value", "prev", "next")
-
-    def __init__(self, key, value):
-        self.key = key
-        self.value = value
-        self.prev = None
-        self.next = None
 
 
 class FitnessCache:
@@ -55,91 +46,60 @@ class FitnessCache:
         self.policy = CachePolicy(policy)
         self.hits = 0
         self.misses = 0
-        nslots = 1 << (2 * max(capacity, 1) - 1).bit_length()
-        self._slots: list[list[_Node]] = [[] for _ in range(nslots)]
-        self._mask = nslots - 1
         self._lru = self.policy is CachePolicy.LRU
-        self._len = 0
-        # circular sentinel: front = _root.next, rear = _root.prev
-        root = _Node(None, None)
-        root.prev = root.next = root
-        self._root = root
-
-    # -- internal plumbing -------------------------------------------------
-
-    def _find(self, key: Chromosome) -> _Node | None:
-        for node in self._slots[zlib.crc32(key.packed) & self._mask]:
-            if node.key == key:
-                return node
-        return None
-
-    def _move_to_rear(self, node: _Node) -> None:
-        root = self._root
-        if root.prev is node:
-            return
-        node.prev.next = node.next
-        node.next.prev = node.prev
-        last = root.prev
-        last.next = node
-        node.prev = last
-        node.next = root
-        root.prev = node
+        self._entries: OrderedDict[Chromosome, object] = OrderedDict()
 
     def _insert(self, key: Chromosome, value) -> None:
         """Store a key known to be absent, evicting the front entry if full."""
         if self.capacity == 0:
             return
-        if self._len == self.capacity:
+        if len(self._entries) == self.capacity:
             self.evict_front()
-        node = _Node(key, value)
-        self._slots[zlib.crc32(key.packed) & self._mask].append(node)
-        root = self._root
-        last = root.prev
-        last.next = node
-        node.prev = last
-        node.next = root
-        root.prev = node
-        self._len += 1
+        self._entries[key] = value
 
-    # -- public interface --------------------------------------------------
+    def lookup(self, key: Chromosome, compute):
+        """Value of `key`: the stored one on a hit, else ``compute(key)``, stored.
+
+        Counts one hit or one miss. A hit refreshes recency under LRU. If
+        ``compute`` raises, the error propagates and nothing is changed.
+        """
+        value = self._entries.get(key, _MISSING)
+        if value is _MISSING:
+            value = compute(key)
+            self.misses += 1
+            self._insert(key, value)
+        else:
+            self.hits += 1
+            if self._lru:
+                self._entries.move_to_end(key)
+        return value
 
     def get(self, key: Chromosome):
         """Stored value for a hit (refreshing recency under LRU), else None.
 
         Counts one hit or one miss per call.
         """
-        node = self._find(key)
-        if node is None:
+        value = self._entries.get(key, _MISSING)
+        if value is _MISSING:
             self.misses += 1
             return None
         self.hits += 1
         if self._lru:
-            self._move_to_rear(node)
-        return node.value
+            self._entries.move_to_end(key)
+        return value
 
     def put(self, key: Chromosome, value) -> None:
         """Insert a new entry at the rear; no-op when capacity is 0."""
-        if self._find(key) is not None:
+        if key in self._entries:
             raise ValueError(f"key already cached: {key}")
         self._insert(key, value)
 
     def evict_front(self) -> Chromosome:
         """Remove the entry next in eviction order and return its key."""
-        node = self._root.next
-        if node is self._root:
+        if not self._entries:
             raise IndexError("evict_front on an empty cache")
-        node.prev.next = node.next
-        node.next.prev = node.prev
-        self._slots[zlib.crc32(node.key.packed) & self._mask].remove(node)
-        self._len -= 1
-        return node.key
-
-    def touch(self, key: Chromosome) -> None:
-        """Move an existing entry to the rear (no-op if already rearmost)."""
-        node = self._find(key)
-        if node is None:
-            raise KeyError(key)
-        self._move_to_rear(node)
+        key, _ = self._entries.popitem(last=False)
+        return key
 
     def counters(self) -> tuple[int, int]:
         """(hits, misses) so far."""
@@ -147,48 +107,24 @@ class FitnessCache:
 
     def keys(self) -> Iterator[Chromosome]:
         """Keys in eviction order, front (next victim) to rear (newest)."""
-        node = self._root.next
-        while node is not self._root:
-            yield node.key
-            node = node.next
+        return iter(self._entries)
 
     def dump(self) -> str:
         """One '<bits>,<fitness>' line per entry, front to rear."""
-        lines = []
-        node = self._root.next
-        while node is not self._root:
-            lines.append(f"{node.key},{node.value}")
-            node = node.next
-        return "\n".join(lines)
+        return "\n".join(f"{key},{value}" for key, value in self._entries.items())
 
     def __len__(self) -> int:
-        return self._len
+        return len(self._entries)
 
     def __contains__(self, key: Chromosome) -> bool:
-        return self._find(key) is not None
-
-    # -- diagnostics -------------------------------------------------------
-
-    def chain_lengths(self) -> list[int]:
-        """Current length of every hash chain."""
-        return [len(chain) for chain in self._slots]
+        return key in self._entries
 
     def check_consistency(self) -> None:
-        """Verify the table and the eviction list describe the same entries."""
-        list_keys = list(self.keys())
-        if len(list_keys) != self._len:
-            raise AssertionError("eviction list length disagrees with entry count")
-        if self._len > self.capacity:
+        """Verify the entry count stays within capacity and matches ``keys()``."""
+        if len(self) > self.capacity:
             raise AssertionError("entry count exceeds capacity")
-        chain_keys = [node.key for chain in self._slots for node in chain]
-        if len(chain_keys) != self._len:
-            raise AssertionError("hash chains hold a different number of entries")
-        if set(chain_keys) != set(list_keys):
-            raise AssertionError("hash chains and eviction list disagree on keys")
-        for i, chain in enumerate(self._slots):
-            for node in chain:
-                if zlib.crc32(node.key.packed) & self._mask != i:
-                    raise AssertionError("entry stored in the wrong slot")
+        if len(list(self.keys())) != len(self):
+            raise AssertionError("key listing disagrees with entry count")
 
 
 class CachedEvaluator:
@@ -196,7 +132,9 @@ class CachedEvaluator:
 
     ``eval_count`` tracks true fitness-function invocations and always equals
     the cache's miss counter. If the fitness function raises, the error
-    propagates and neither the cache nor any counter is modified.
+    propagates and neither the cache nor any counter is modified. A NaN
+    fitness is rejected the same way, with a ValueError: NaN has no order,
+    so no competition could rank it.
     """
 
     def __init__(self, fitness_fn, cache: FitnessCache):
@@ -209,19 +147,13 @@ class CachedEvaluator:
         """Evaluator with a zero-capacity cache: every lookup evaluates."""
         return cls(fitness_fn, FitnessCache(0, policy))
 
-    def lookup_or_evaluate(self, chromosome: Chromosome):
-        """Fitness of `chromosome`, from cache when possible."""
-        cache = self.cache
-        node = cache._find(chromosome)
-        if node is not None:
-            cache.hits += 1
-            if cache._lru:
-                cache._move_to_rear(node)
-            return node.value
+    def _evaluate(self, chromosome: Chromosome):
         value = self.fitness_fn(chromosome)
-        cache.misses += 1
+        if value != value:  # only NaN differs from itself
+            raise ValueError(f"fitness of {chromosome} is NaN")
         self.eval_count += 1
-        cache._insert(chromosome, value)
         return value
 
-    __call__ = lookup_or_evaluate
+    def __call__(self, chromosome: Chromosome):
+        """Fitness of `chromosome`, from cache when possible."""
+        return self.cache.lookup(chromosome, self._evaluate)

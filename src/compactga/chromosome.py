@@ -28,6 +28,13 @@ class Rng:
         return f"Rng(seed={self.seed})"
 
 
+def _check_alleles(bad: np.ndarray, arr: np.ndarray) -> None:
+    """Raise naming the first gene flagged in `bad`, if any."""
+    if bad.any():
+        gene = int(np.argmax(bad))
+        raise ValueError(f"alleles must be 0 or 1, got {arr.tolist()[gene]!r} at gene {gene}")
+
+
 class Chromosome:
     """Immutable fixed-length bit string, hashable so it can key a cache.
 
@@ -39,11 +46,16 @@ class Chromosome:
     __slots__ = ("packed", "length", "_bits", "_hash")
 
     def __init__(self, bits: np.ndarray):
-        arr = np.ascontiguousarray(bits, dtype=np.uint8)
+        arr = np.asarray(bits)
         if arr.ndim != 1 or arr.shape[0] == 0:
             raise ValueError("bits must be a non-empty one-dimensional sequence")
-        if arr.max() > 1:
-            raise ValueError("alleles must be 0 or 1")
+        if arr.dtype != np.uint8 and arr.dtype != np.bool_:
+            # check before the cast, which would truncate 1.7 to 1 and wrap 257 to 1
+            _check_alleles((arr != 0) & (arr != 1), arr)
+            arr = arr.astype(np.uint8)
+        elif arr.max() > 1:
+            _check_alleles(arr > 1, arr)
+        arr = np.ascontiguousarray(arr, dtype=np.uint8)
         arr.setflags(write=False)
         self.length: int = arr.shape[0]
         self.packed: bytes = np.packbits(arr).tobytes()

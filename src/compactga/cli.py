@@ -10,8 +10,9 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .algorithms import IterationLimitError, Variant
+from .algorithms import VARIANT_KINDS, IterationLimitError, Variant
 from .harness import ExperimentConfig, sweep, write_csv, write_per_run_csv
+from .problems import FITNESS_FUNCTIONS
 
 DEFAULTS = {
     "algo": "cga",
@@ -57,13 +58,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="compactga",
         description="Run a compact-GA experiment sweep and write per-cell aggregates as CSV.",
     )
-    parser.add_argument("--algo", choices=["cga", "cga-t", "cga-rr", "pe-cga", "ne-cga"],
+    parser.add_argument("--algo", choices=VARIANT_KINDS,
                         help="algorithm variant (default cga)")
     parser.add_argument("--s", type=int, help="tournament size for cga-t (default 4)")
     parser.add_argument("--m", type=int, help="round-robin size for cga-rr (default 4)")
     parser.add_argument("--eta", type=int,
                         help="elite survival limit for ne-cga (default ceil(pop/10))")
-    parser.add_argument("--problem", choices=["onemax", "binint"],
+    parser.add_argument("--problem", choices=list(FITNESS_FUNCTIONS),
                         help="fitness function (default onemax)")
     parser.add_argument("--bits", type=int,
                         help="chromosome length (default 100 for onemax, 30 for binint)")

@@ -129,22 +129,6 @@ class SweepResult:
                 return c
         raise KeyError(f"no cell for pop={pop} capacity={capacity}")
 
-    def average_speedup_by_capacity(self) -> dict[int, float]:
-        """Mean cell speedup across population sizes, per capacity."""
-        out: dict[int, float] = {}
-        for cap in self.config.capacities:
-            vals = [c.speedup for c in self.cells if c.capacity == cap]
-            out[cap] = sum(vals) / len(vals)
-        return out
-
-    def average_speedup_by_pop(self) -> dict[int, float]:
-        """Mean cell speedup across capacities, per population size."""
-        out: dict[int, float] = {}
-        for pop in self.config.n_values:
-            vals = [c.speedup for c in self.cells if c.pop == pop]
-            out[pop] = sum(vals) / len(vals)
-        return out
-
 
 def run_cell(
     config: ExperimentConfig,

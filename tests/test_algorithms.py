@@ -12,11 +12,6 @@ from compactga import (
     Variant,
     default_inheritance_length,
     onemax,
-    run_cga,
-    run_cga_round_robin,
-    run_cga_tournament,
-    run_ne_cga,
-    run_pe_cga,
 )
 from compactga.problems import binary_integer
 
@@ -34,7 +29,7 @@ def final_pv_fractions(stats, population_size):
 
 
 def test_single_gene_run_terminates():
-    stats = run_cga(1, 2, uncached(), Rng(0))
+    stats = Variant("cga").run(1, 2, uncached(), Rng(0))
     assert str(stats.solution) in ("0", "1")
     assert stats.iterations >= 1
     assert set(stats.final_pv) <= {0, 4}
@@ -43,26 +38,26 @@ def test_single_gene_run_terminates():
 
 def test_argument_validation():
     with pytest.raises(ValueError):
-        run_cga(0, 10, uncached(), Rng(0))
+        Variant("cga").run(0, 10, uncached(), Rng(0))
     with pytest.raises(ValueError):
-        run_cga(4, 1, uncached(), Rng(0))
+        Variant("cga").run(4, 1, uncached(), Rng(0))
     with pytest.raises(ValueError):
-        run_cga_tournament(4, 10, 1, uncached(), Rng(0))
+        Variant("cga-t", s=1).run(4, 10, uncached(), Rng(0))
     with pytest.raises(ValueError):
-        run_cga_round_robin(4, 10, 1, uncached(), Rng(0))
+        Variant("cga-rr", m=1).run(4, 10, uncached(), Rng(0))
     with pytest.raises(ValueError):
-        run_ne_cga(4, 10, 0, uncached(), Rng(0))
+        Variant("ne-cga", eta=0).run(4, 10, uncached(), Rng(0))
 
 
 def test_iteration_cap_raises():
     with pytest.raises(IterationLimitError) as err:
-        run_cga(60, 60, uncached(), Rng(1), max_iterations=3)
+        Variant("cga").run(60, 60, uncached(), Rng(1), max_iterations=3)
     assert err.value.iterations == 3
 
 
 def test_tournament_of_two_reduces_to_cga():
-    base = run_cga(16, 8, uncached(), Rng(71), trace=True)
-    t2 = run_cga_tournament(16, 8, 2, uncached(), Rng(71), trace=True)
+    base = Variant("cga").run(16, 8, uncached(), Rng(71), trace=True)
+    t2 = Variant("cga-t", s=2).run(16, 8, uncached(), Rng(71), trace=True)
     assert t2.iterations == base.iterations
     assert t2.updates == base.updates
     assert t2.final_pv == base.final_pv
@@ -70,33 +65,33 @@ def test_tournament_of_two_reduces_to_cga():
 
 
 def test_round_robin_of_two_reduces_to_cga():
-    base = run_cga(16, 8, uncached(), Rng(72), trace=True)
-    rr2 = run_cga_round_robin(16, 8, 2, uncached(), Rng(72), trace=True)
+    base = Variant("cga").run(16, 8, uncached(), Rng(72), trace=True)
+    rr2 = Variant("cga-rr", m=2).run(16, 8, uncached(), Rng(72), trace=True)
     assert rr2.iterations == base.iterations
     assert rr2.updates == base.updates
     assert rr2.final_pv == base.final_pv
 
 
 def test_round_robin_updates_per_iteration():
-    stats = run_cga_round_robin(12, 8, 4, uncached(), Rng(3), trace=True)
+    stats = Variant("cga-rr", m=4).run(12, 8, uncached(), Rng(3), trace=True)
     assert len(stats.updates) == 6 * stats.iterations
 
 
 def test_tournament_updates_per_iteration():
-    stats = run_cga_tournament(12, 8, 5, uncached(), Rng(3), trace=True)
+    stats = Variant("cga-t", s=5).run(12, 8, uncached(), Rng(3), trace=True)
     assert len(stats.updates) == 4 * stats.iterations
 
 
 def test_pe_cga_looks_up_once_per_iteration_after_the_first():
-    stats = run_pe_cga(16, 10, uncached(), Rng(9))
+    stats = Variant("pe-cga").run(16, 10, uncached(), Rng(9))
     assert stats.hits + stats.misses == 2 + (stats.iterations - 1)
     assert stats.elite is not None
     assert stats.elite_fitness == onemax(stats.elite)
 
 
 def test_ne_cga_with_huge_eta_matches_pe_cga():
-    pe = run_pe_cga(20, 10, uncached(), Rng(33), trace=True)
-    ne = run_ne_cga(20, 10, 10**9, uncached(), Rng(33), trace=True)
+    pe = Variant("pe-cga").run(20, 10, uncached(), Rng(33), trace=True)
+    ne = Variant("ne-cga", eta=10**9).run(20, 10, uncached(), Rng(33), trace=True)
     assert ne.iterations == pe.iterations
     assert ne.updates == pe.updates
     assert ne.final_pv == pe.final_pv
@@ -174,17 +169,17 @@ def test_cache_does_not_change_the_trajectory(variant):
 
 def test_evaluations_equal_misses_with_and_without_cache():
     ev = CachedEvaluator(onemax, FitnessCache(5, CachePolicy.LRU))
-    stats = run_cga(16, 8, ev, Rng(12))
+    stats = Variant("cga").run(16, 8, ev, Rng(12))
     assert stats.evaluations == stats.misses == ev.eval_count
-    plain = run_cga(16, 8, uncached(), Rng(12))
+    plain = Variant("cga").run(16, 8, uncached(), Rng(12))
     assert plain.hits == 0
     assert plain.evaluations == plain.misses == plain.hits + plain.misses
 
 
 def test_counters_report_per_run_deltas_when_evaluator_is_reused():
     ev = CachedEvaluator(onemax, FitnessCache(5, "fifo"))
-    first = run_cga(12, 6, ev, Rng(1))
-    second = run_cga(12, 6, ev, Rng(2))
+    first = Variant("cga").run(12, 6, ev, Rng(1))
+    second = Variant("cga").run(12, 6, ev, Rng(2))
     h, m = ev.cache.counters()
     assert first.hits + second.hits == h
     assert first.misses + second.misses == m

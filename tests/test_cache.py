@@ -1,11 +1,10 @@
-import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compactga import CachedEvaluator, CachePolicy, Chromosome, FitnessCache, onemax
+from compactga import CachedEvaluator, CachePolicy, Chromosome, FitnessCache, Rng, Variant, onemax
 from naive_cache import NaiveCache, key_universe
 
 KEYS = key_universe(64)
@@ -74,30 +73,6 @@ def test_evict_front_follows_lru_recency():
     assert cache.evict_front() == chrom(2)
 
 
-def test_touch_reorders_to_rear():
-    cache = filled("lru", 1, 2, 3)
-    cache.touch(chrom(2))
-    assert list(cache.keys()) == [chrom(1), chrom(3), chrom(2)]
-
-
-def test_touch_last_node_is_noop():
-    cache = filled("lru", 1)
-    cache.touch(chrom(1))
-    assert list(cache.keys()) == [chrom(1)]
-
-
-def test_touch_front_of_two():
-    cache = filled("lru", 1, 2)
-    cache.touch(chrom(1))
-    assert list(cache.keys()) == [chrom(2), chrom(1)]
-
-
-def test_touch_absent_key_raises():
-    cache = filled("lru", 1)
-    with pytest.raises(KeyError):
-        cache.touch(chrom(2))
-
-
 def test_counters_start_at_zero_and_accumulate():
     cache = FitnessCache(4, "fifo")
     assert cache.counters() == (0, 0)
@@ -161,14 +136,6 @@ def test_contains_does_not_count_or_reorder():
     assert list(cache.keys()) == [chrom(1), chrom(2)]
 
 
-def test_slot_count_is_smallest_power_of_two_at_least_twice_capacity():
-    assert len(FitnessCache(0, "fifo").chain_lengths()) == 2
-    assert len(FitnessCache(1, "fifo").chain_lengths()) == 2
-    assert len(FitnessCache(3, "fifo").chain_lengths()) == 8
-    assert len(FitnessCache(20, "fifo").chain_lengths()) == 64
-    assert len(FitnessCache(32, "fifo").chain_lengths()) == 64
-
-
 def test_failed_evaluation_leaves_cache_untouched():
     cache = FitnessCache(2, "lru")
     ev = CachedEvaluator(lambda c: c.to_int(), cache)
@@ -184,6 +151,25 @@ def test_failed_evaluation_leaves_cache_untouched():
     assert (cache.dump(), cache.counters(), ev.eval_count) == snapshot
     ev.fitness_fn = lambda c: c.to_int()
     assert ev(chrom(1)) == chrom(1).to_int()  # hit still works afterwards
+
+
+def test_nan_fitness_is_rejected_and_leaves_cache_untouched():
+    cache = FitnessCache(2, "lru")
+    ev = CachedEvaluator(lambda c: c.to_int(), cache)
+    ev(chrom(1))
+    snapshot = (cache.dump(), cache.counters(), ev.eval_count)
+    ev.fitness_fn = lambda c: float("nan")
+    with pytest.raises(ValueError, match=str(chrom(2))):
+        ev(chrom(2))
+    assert (cache.dump(), cache.counters(), ev.eval_count) == snapshot
+    assert ev(chrom(1)) == chrom(1).to_int()  # a hit never re-evaluates
+
+
+def test_nan_fitness_fails_a_run():
+    ev = CachedEvaluator.uncached(lambda c: float("nan"))
+    with pytest.raises(ValueError, match="NaN"):
+        Variant("cga").run(8, 4, ev, Rng(0))
+    assert ev.eval_count == 0
 
 
 def test_lookup_or_evaluate_is_transparent():
@@ -225,16 +211,3 @@ def test_matches_naive_model(policy, capacity, indices):
     assert cache.counters() == (naive.hits, naive.misses)
     assert cache.hits + cache.misses == len(indices)
 
-
-def test_chain_lengths_stay_bounded_under_random_workloads():
-    rnd = random.Random(2024)
-    for _ in range(50):
-        capacity = rnd.randint(1, 40)
-        cache = FitnessCache(capacity, rnd.choice(["fifo", "lru"]))
-        ev = CachedEvaluator(lambda c: 0, cache)
-        universe = rnd.randint(1, 64)
-        for _ in range(rnd.randint(10, 400)):
-            ev(chrom(rnd.randrange(universe)))
-        slots = len(cache.chain_lengths())
-        bound = 8 * math.ceil(max(len(cache), 1) / slots) + 8
-        assert max(cache.chain_lengths()) <= bound

@@ -28,6 +28,27 @@ def test_constructor_rejects_bad_alleles():
         Chromosome(np.array([], dtype=np.uint8))
 
 
+@pytest.mark.parametrize(
+    "bits,gene",
+    [
+        (np.array([0.5, 1.7]), 0),
+        (np.array([1.0, 0.0, 1.7]), 2),
+        (np.array([0.0, np.nan]), 1),
+        (np.array([1, 257]), 1),
+        (np.array([0, -1]), 1),
+        ([1, 0, 2], 2),
+    ],
+)
+def test_constructor_rejects_non_binary_alleles_before_casting(bits, gene):
+    with pytest.raises(ValueError, match=f"at gene {gene}$"):
+        Chromosome(bits)
+
+
+def test_constructor_accepts_exact_zeros_and_ones_of_any_dtype():
+    for bits in (np.array([1.0, 0.0, 1.0]), np.array([1, 0, 1]), np.array([True, False, True]), [1, 0, 1]):
+        assert str(Chromosome(bits)) == "101"
+
+
 def test_equality_is_bitwise():
     assert Chromosome.from_text("0101") == Chromosome(np.array([0, 1, 0, 1]))
     assert Chromosome.from_text("0101") != Chromosome.from_text("0100")

@@ -78,14 +78,6 @@ def test_sweep_runs_every_cell_and_averages():
     config = small_config(n_values=(4, 8, 12), capacities=(1, 5), runs=2)
     result = sweep(config)
     assert len(result.cells) == 6
-    by_cap = result.average_speedup_by_capacity()
-    expected = {
-        cap: sum(c.speedup for c in result.cells if c.capacity == cap) / 3
-        for cap in (1, 5)
-    }
-    assert by_cap == expected
-    by_pop = result.average_speedup_by_pop()
-    assert set(by_pop) == {4, 8, 12}
     assert result.cell(8, 5).pop == 8
     with pytest.raises(KeyError):
         result.cell(99, 5)
