@@ -46,8 +46,8 @@ class IterationLimitError(RuntimeError):
 class RunStats:
     """Outcome of one run.
 
-    ``evaluations`` counts true fitness-function invocations; with a cache
-    attached it equals ``misses``, and ``hits + misses`` is the number of
+    ``evaluations`` counts true fitness-function invocations, which are
+    exactly the cache ``misses``; ``hits + misses`` is the number of
     lookups, which does not depend on the cache. ``updates`` holds the
     (winner, loser) pair of every probability-vector update when the run
     was traced, and is None otherwise.
@@ -127,35 +127,26 @@ def _elitist_loop(
 ) -> tuple[int, Chromosome, int | float]:
     """The reigning elite meets one new challenger per iteration.
 
-    The first iteration samples two chromosomes and crowns the winner; every
-    later iteration samples one challenger, so the elite's fitness is kept
-    and never looked up again. A tie keeps the elite. With ``eta=None``
-    (persistent elitism) the elite reigns until strictly beaten. Otherwise,
-    once it has survived ``eta`` defenses, the next iteration still runs the
-    normal competition and update, then installs that iteration's challenger
-    as elite regardless of fitness; losing by fitness resets the survival
-    count as well.
+    The first sample stands in as elite with a survival count of -1, so the
+    first iteration pits it against the second sample like any challenger
+    and its winner starts with no defenses. Every iteration samples one
+    challenger; the elite's fitness is kept and never looked up again. A
+    tie keeps the elite. With ``eta=None`` (persistent elitism) the elite
+    reigns until strictly beaten. Otherwise, once it has survived ``eta``
+    defenses, the next iteration still runs the normal competition and
+    update, then installs that iteration's challenger as elite regardless of
+    fitness; losing by fitness resets the survival count as well.
 
     Returns (iterations, elite, elite fitness).
     """
     iterations = 0
-    elite = elite_fitness = None
-    survivals = 0
+    elite = pv.sample(rng)
+    elite_fitness = evaluator(elite)
+    survivals = -1
     while not pv.is_converged():
         if iterations >= max_iterations:
             raise IterationLimitError(f"{what} not converged after {iterations} iterations", iterations)
         iterations += 1
-        if elite is None:
-            a = pv.sample(rng)
-            b = pv.sample(rng)
-            fa = evaluator(a)
-            fb = evaluator(b)
-            elite, loser = compete(a, fa, b, fb)
-            elite_fitness = fa if elite is a else fb
-            pv.update(elite, loser)
-            if updates is not None:
-                updates.append((elite, loser))
-            continue
         challenger = pv.sample(rng)
         challenger_fitness = evaluator(challenger)
         winner, loser = compete(elite, elite_fitness, challenger, challenger_fitness)
@@ -217,7 +208,6 @@ class Variant:
             raise ValueError(f"population size must be at least 2, got {population_size}")
         pv = ProbabilityVector(length, population_size)
         hits0, misses0 = evaluator.cache.counters()
-        evals0 = evaluator.eval_count
         updates = [] if trace else None
         loop_args = (evaluator, rng, max_iterations, updates,
                      f"{self.label} (l={length}, n={population_size})")
@@ -235,7 +225,7 @@ class Variant:
         solution = pv.decode()
         hits, misses = evaluator.cache.counters()
         return RunStats(
-            evaluations=evaluator.eval_count - evals0,
+            evaluations=misses - misses0,
             hits=hits - hits0,
             misses=misses - misses0,
             iterations=iterations,

@@ -49,50 +49,27 @@ class FitnessCache:
         self._lru = self.policy is CachePolicy.LRU
         self._entries: OrderedDict[Chromosome, object] = OrderedDict()
 
-    def _insert(self, key: Chromosome, value) -> None:
-        """Store a key known to be absent, evicting the front entry if full."""
-        if self.capacity == 0:
-            return
-        if len(self._entries) == self.capacity:
-            self.evict_front()
-        self._entries[key] = value
-
     def lookup(self, key: Chromosome, compute):
         """Value of `key`: the stored one on a hit, else ``compute(key)``, stored.
 
-        Counts one hit or one miss. A hit refreshes recency under LRU. If
-        ``compute`` raises, the error propagates and nothing is changed.
+        Counts one hit or one miss. A hit refreshes recency under LRU; a miss
+        stores the value at the rear, evicting the front entry if the cache
+        is full. If ``compute`` raises, the error propagates and nothing is
+        changed.
         """
         value = self._entries.get(key, _MISSING)
         if value is _MISSING:
             value = compute(key)
             self.misses += 1
-            self._insert(key, value)
+            if self.capacity:
+                if len(self._entries) == self.capacity:
+                    self.evict_front()
+                self._entries[key] = value
         else:
             self.hits += 1
             if self._lru:
                 self._entries.move_to_end(key)
         return value
-
-    def get(self, key: Chromosome):
-        """Stored value for a hit (refreshing recency under LRU), else None.
-
-        Counts one hit or one miss per call.
-        """
-        value = self._entries.get(key, _MISSING)
-        if value is _MISSING:
-            self.misses += 1
-            return None
-        self.hits += 1
-        if self._lru:
-            self._entries.move_to_end(key)
-        return value
-
-    def put(self, key: Chromosome, value) -> None:
-        """Insert a new entry at the rear; no-op when capacity is 0."""
-        if key in self._entries:
-            raise ValueError(f"key already cached: {key}")
-        self._insert(key, value)
 
     def evict_front(self) -> Chromosome:
         """Remove the entry next in eviction order and return its key."""
@@ -130,17 +107,16 @@ class FitnessCache:
 class CachedEvaluator:
     """Fitness source that answers from a cache and evaluates only on a miss.
 
-    ``eval_count`` tracks true fitness-function invocations and always equals
-    the cache's miss counter. If the fitness function raises, the error
-    propagates and neither the cache nor any counter is modified. A NaN
-    fitness is rejected the same way, with a ValueError: NaN has no order,
-    so no competition could rank it.
+    The cache's miss counter is the count of true fitness-function
+    invocations. If the fitness function raises, the error propagates and
+    neither the cache nor any counter is modified. A NaN fitness is rejected
+    the same way, with a ValueError: NaN has no order, so no competition
+    could rank it.
     """
 
     def __init__(self, fitness_fn, cache: FitnessCache):
         self.fitness_fn = fitness_fn
         self.cache = cache
-        self.eval_count = 0
 
     @classmethod
     def uncached(cls, fitness_fn, policy: CachePolicy | str = CachePolicy.FIFO):
@@ -151,7 +127,6 @@ class CachedEvaluator:
         value = self.fitness_fn(chromosome)
         if value != value:  # only NaN differs from itself
             raise ValueError(f"fitness of {chromosome} is NaN")
-        self.eval_count += 1
         return value
 
     def __call__(self, chromosome: Chromosome):

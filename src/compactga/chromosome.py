@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 
@@ -15,9 +17,12 @@ class Rng:
     """
 
     def __init__(self, seed: int):
-        if not 0 <= int(seed) < 2**64:
+        try:
+            self.seed = operator.index(seed)
+        except TypeError:
+            raise TypeError(f"seed must be an integer, got {seed!r}") from None
+        if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
-        self.seed = int(seed)
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
     def uniforms(self, count: int) -> np.ndarray:
@@ -28,19 +33,17 @@ class Rng:
         return f"Rng(seed={self.seed})"
 
 
-def _check_alleles(bad: np.ndarray, arr: np.ndarray) -> None:
-    """Raise naming the first gene flagged in `bad`, if any."""
-    if bad.any():
-        gene = int(np.argmax(bad))
-        raise ValueError(f"alleles must be 0 or 1, got {arr.tolist()[gene]!r} at gene {gene}")
-
-
 class Chromosome:
     """Immutable fixed-length bit string, hashable so it can key a cache.
 
     Bits are packed eight per byte (gene 0 in the most significant bit of
     byte 0), so equality, hashing and popcounts touch l/8 bytes rather than
     l alleles. The unpacked array is kept alongside for vector arithmetic.
+
+    The constructor takes any one-dimensional sequence of exact 0/1 values
+    (a bool array needs no check) and stores its own read-only uint8 copy,
+    so writing to the caller's array, or to the base of a view, never
+    changes a chromosome.
     """
 
     __slots__ = ("packed", "length", "_bits", "_hash")
@@ -49,13 +52,13 @@ class Chromosome:
         arr = np.asarray(bits)
         if arr.ndim != 1 or arr.shape[0] == 0:
             raise ValueError("bits must be a non-empty one-dimensional sequence")
-        if arr.dtype != np.uint8 and arr.dtype != np.bool_:
+        if arr.dtype != np.bool_:
             # check before the cast, which would truncate 1.7 to 1 and wrap 257 to 1
-            _check_alleles((arr != 0) & (arr != 1), arr)
-            arr = arr.astype(np.uint8)
-        elif arr.max() > 1:
-            _check_alleles(arr > 1, arr)
-        arr = np.ascontiguousarray(arr, dtype=np.uint8)
+            bad = (arr != 0) & (arr != 1)
+            if bad.any():
+                gene = int(np.argmax(bad))
+                raise ValueError(f"alleles must be 0 or 1, got {arr.tolist()[gene]!r} at gene {gene}")
+        arr = arr.astype(np.uint8)
         arr.setflags(write=False)
         self.length: int = arr.shape[0]
         self.packed: bytes = np.packbits(arr).tobytes()

@@ -1,7 +1,10 @@
 """Command-line sweep runner.
 
-Flags mirror the config-file keys; values given on the command line override
-the file. The config file is line-oriented ``key=value`` with ``#`` comments.
+A config file holds line-oriented ``key=value`` pairs with ``#`` comments,
+one key per flag (``pop=6,12`` for ``--pop 6,12``). Its pairs are parsed by
+the same parser as the flags, ahead of the command line, so a file value
+gets the same checks as the flag and a flag given on the command line
+overrides it.
 """
 
 from __future__ import annotations
@@ -14,20 +17,10 @@ from .algorithms import VARIANT_KINDS, IterationLimitError, Variant
 from .harness import ExperimentConfig, sweep, write_csv, write_per_run_csv
 from .problems import FITNESS_FUNCTIONS
 
-DEFAULTS = {
-    "algo": "cga",
-    "problem": "onemax",
-    "pop": "100",
-    "cache": "20",
-    "policy": "fifo",
-    "runs": "50",
-    "seed": "1",
-    "out": "results.csv",
-    "s": "4",
-    "m": "4",
-}
+DEFAULT_BITS = {"onemax": 100, "binint": 30}
 
-DEFAULT_BITS = {"onemax": "100", "binint": "30"}
+# the flags a config file may set; --config and --trace are command-line only
+CONFIG_KEYS = ("algo", "s", "m", "eta", "problem", "bits", "pop", "cache", "policy", "runs", "seed", "out")
 
 
 def parse_int_list(text: str) -> tuple[int, ...]:
@@ -39,7 +32,11 @@ def parse_int_list(text: str) -> tuple[int, ...]:
 
 
 def load_config_file(path: str) -> dict[str, str]:
-    """Read key=value lines; blank lines and '#' comments are ignored."""
+    """Read key=value lines; blank lines and '#' comments are ignored.
+
+    Raises ValueError on a line without '=' and on a key that is not one of
+    ``CONFIG_KEYS``.
+    """
     values: dict[str, str] = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -50,6 +47,9 @@ def load_config_file(path: str) -> dict[str, str]:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.rstrip()!r}")
             key, value = line.split("=", 1)
             values[key.strip()] = value.strip()
+    unknown = set(values) - set(CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"{path}: unknown config keys: {', '.join(sorted(unknown))}")
     return values
 
 
@@ -58,26 +58,30 @@ def build_parser() -> argparse.ArgumentParser:
         prog="compactga",
         description="Run a compact-GA experiment sweep and write per-cell aggregates as CSV.",
     )
-    parser.add_argument("--algo", choices=VARIANT_KINDS,
-                        help="algorithm variant (default cga)")
-    parser.add_argument("--s", type=int, help="tournament size for cga-t (default 4)")
-    parser.add_argument("--m", type=int, help="round-robin size for cga-rr (default 4)")
+    parser.add_argument("--algo", choices=VARIANT_KINDS, default="cga",
+                        help="algorithm variant (default %(default)s)")
+    parser.add_argument("--s", type=int, default=4,
+                        help="tournament size for cga-t (default %(default)s)")
+    parser.add_argument("--m", type=int, default=4,
+                        help="round-robin size for cga-rr (default %(default)s)")
     parser.add_argument("--eta", type=int,
                         help="elite survival limit for ne-cga (default ceil(pop/10))")
-    parser.add_argument("--problem", choices=list(FITNESS_FUNCTIONS),
-                        help="fitness function (default onemax)")
+    parser.add_argument("--problem", choices=list(FITNESS_FUNCTIONS), default="onemax",
+                        help="fitness function (default %(default)s)")
     parser.add_argument("--bits", type=int,
                         help="chromosome length (default 100 for onemax, 30 for binint)")
-    parser.add_argument("--pop", type=parse_int_list, metavar="LIST",
-                        help="comma-separated population sizes (default 100)")
-    parser.add_argument("--cache", type=parse_int_list, metavar="LIST",
-                        help="comma-separated cache capacities, 0 = no cache (default 20)")
-    parser.add_argument("--policy", choices=["fifo", "lru"],
-                        help="cache replacement policy (default fifo)")
-    parser.add_argument("--runs", type=int, help="replicates per cell (default 50)")
-    parser.add_argument("--seed", type=int,
-                        help="base seed; replicate r uses seed+r (default 1)")
-    parser.add_argument("--out", metavar="PATH", help="output CSV path (default results.csv)")
+    parser.add_argument("--pop", type=parse_int_list, metavar="LIST", default="100",
+                        help="comma-separated population sizes (default %(default)s)")
+    parser.add_argument("--cache", type=parse_int_list, metavar="LIST", default="20",
+                        help="comma-separated cache capacities, 0 = no cache (default %(default)s)")
+    parser.add_argument("--policy", choices=["fifo", "lru"], default="fifo",
+                        help="cache replacement policy (default %(default)s)")
+    parser.add_argument("--runs", type=int, default=50,
+                        help="replicates per cell (default %(default)s)")
+    parser.add_argument("--seed", type=int, default=1,
+                        help="base seed; replicate r uses seed+r (default %(default)s)")
+    parser.add_argument("--out", metavar="PATH", default="results.csv",
+                        help="output CSV path (default %(default)s)")
     parser.add_argument("--config", metavar="PATH",
                         help="optional key=value config file; flags override it")
     parser.add_argument("--trace", metavar="PATH",
@@ -85,60 +89,45 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve(args: argparse.Namespace, file_values: dict[str, str]) -> dict[str, str]:
-    known = set(DEFAULTS) | {"eta", "bits"}
-    unknown = set(file_values) - known
-    if unknown:
-        raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    merged = dict(DEFAULTS)
-    merged.update(file_values)
-    for key in ("algo", "problem", "policy", "out", "s", "m", "eta", "bits", "runs", "seed"):
-        val = getattr(args, key, None)
-        if val is not None:
-            merged[key] = str(val)
-    for key in ("pop", "cache"):
-        val = getattr(args, key)
-        if val is not None:
-            merged[key] = ",".join(str(v) for v in val)
-    merged.setdefault("bits", DEFAULT_BITS[merged["problem"]])
-    return merged
-
-
-def config_from_values(values: dict[str, str]) -> ExperimentConfig:
-    algo = values["algo"]
+def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    """The sweep described by parsed flags; s, m and eta apply only to their variant."""
     variant = Variant(
-        algo,
-        s=int(values["s"]) if algo == "cga-t" else None,
-        m=int(values["m"]) if algo == "cga-rr" else None,
-        eta=int(values["eta"]) if algo == "ne-cga" and "eta" in values else None,
+        args.algo,
+        s=args.s if args.algo == "cga-t" else None,
+        m=args.m if args.algo == "cga-rr" else None,
+        eta=args.eta if args.algo == "ne-cga" else None,
     )
     return ExperimentConfig(
         variant=variant,
-        problem=values["problem"],
-        bits=int(values["bits"]),
-        n_values=parse_int_list(values["pop"]),
-        capacities=parse_int_list(values["cache"]),
-        policy=values["policy"],
-        runs=int(values["runs"]),
-        base_seed=int(values["seed"]),
-        output_path=values["out"],
+        problem=args.problem,
+        bits=DEFAULT_BITS[args.problem] if args.bits is None else args.bits,
+        n_values=args.pop,
+        capacities=args.cache,
+        policy=args.policy,
+        runs=args.runs,
+        base_seed=args.seed,
     )
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        file_values = load_config_file(args.config) if args.config else {}
-        config = config_from_values(_resolve(args, file_values))
+        if args.config:
+            # file values first: argparse keeps the last value, so flags win
+            file_args = [f"--{key}={value}" for key, value in load_config_file(args.config).items()]
+            args = parser.parse_args(file_args + argv)
+        config = config_from_args(args)
         per_run = [] if args.trace else None
         result = sweep(config, per_run)
-        write_csv(result, config.output_path)
+        write_csv(result, args.out)
         if args.trace:
             write_per_run_csv(per_run, args.trace)
     except (ValueError, OSError, IterationLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(f"wrote {config.output_path} ({len(result.cells)} cells, {config.runs} runs each)")
+    print(f"wrote {args.out} ({len(result.cells)} cells, {config.runs} runs each)")
     if args.trace:
         print(f"wrote {args.trace} ({len(per_run)} replicate rows)")
     return 0

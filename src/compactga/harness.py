@@ -15,6 +15,7 @@ comparison.
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -57,6 +58,14 @@ PER_RUN_COLUMNS = [
 ]
 
 
+def _integer(name: str, value) -> int:
+    """`value` as an int; a float or any other non-integral type raises, naming `name`."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name}: expected an integer, got {value!r}") from None
+
+
 @dataclass
 class ExperimentConfig:
     """One sweep: a variant/problem pair crossed over populations and capacities."""
@@ -69,13 +78,15 @@ class ExperimentConfig:
     policy: CachePolicy
     runs: int
     base_seed: int
-    output_path: Optional[str] = None
 
     def __post_init__(self):
         fitness_function(self.problem)  # validates the name
         self.policy = CachePolicy(self.policy)
-        self.n_values = tuple(sorted(set(int(n) for n in self.n_values)))
-        self.capacities = tuple(sorted(set(int(c) for c in self.capacities)))
+        self.bits = _integer("bits", self.bits)
+        self.runs = _integer("runs", self.runs)
+        self.base_seed = _integer("base_seed", self.base_seed)
+        self.n_values = tuple(sorted({_integer("n_values", n) for n in self.n_values}))
+        self.capacities = tuple(sorted({_integer("capacities", c) for c in self.capacities}))
         if self.bits < 1:
             raise ValueError(f"bits must be positive, got {self.bits}")
         limit = problem_bit_limit(self.problem)

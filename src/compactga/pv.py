@@ -68,7 +68,7 @@ class ProbabilityVector:
         at 0 or 1, so the draw count never depends on the vector's state.
         """
         u = rng.uniforms(self.length)
-        return Chromosome((u < self._probs).view(np.uint8))
+        return Chromosome(u < self._probs)
 
     def update(self, winner: Chromosome, loser: Chromosome) -> None:
         """Shift each entry 1/n toward the winner where the two disagree."""
@@ -87,7 +87,7 @@ class ProbabilityVector:
 
     def decode(self) -> Chromosome:
         """Chromosome with allele 1 exactly where p is 1 (meaningful once converged)."""
-        return Chromosome((self._num == self._denom).view(np.uint8))
+        return Chromosome(self._num == self._denom)
 
     def __repr__(self) -> str:
         return (

@@ -170,7 +170,7 @@ def test_cache_does_not_change_the_trajectory(variant):
 def test_evaluations_equal_misses_with_and_without_cache():
     ev = CachedEvaluator(onemax, FitnessCache(5, CachePolicy.LRU))
     stats = Variant("cga").run(16, 8, ev, Rng(12))
-    assert stats.evaluations == stats.misses == ev.eval_count
+    assert stats.evaluations == stats.misses == ev.cache.misses
     plain = Variant("cga").run(16, 8, uncached(), Rng(12))
     assert plain.hits == 0
     assert plain.evaluations == plain.misses == plain.hits + plain.misses

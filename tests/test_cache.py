@@ -17,8 +17,12 @@ def chrom(i):
 def filled(policy, *indices, capacity=None):
     cache = FitnessCache(capacity if capacity is not None else len(indices), policy)
     for i in indices:
-        cache.put(chrom(i), i * 10)
+        cache.lookup(chrom(i), lambda key, i=i: i * 10)
     return cache
+
+
+def not_called(key):
+    raise AssertionError(f"unexpected evaluation of {key}")
 
 
 def lookup_sequence(cache, fn, indices):
@@ -66,10 +70,8 @@ def test_evict_front_returns_front_key():
 
 
 def test_evict_front_follows_lru_recency():
-    cache = FitnessCache(3, CachePolicy.LRU)
-    cache.put(chrom(1), 10)
-    cache.put(chrom(2), 20)
-    assert cache.get(chrom(1)) == 10  # hit moves key 1 to the rear
+    cache = filled(CachePolicy.LRU, 1, 2, capacity=3)
+    assert cache.lookup(chrom(1), not_called) == 10  # hit moves key 1 to the rear
     assert cache.evict_front() == chrom(2)
 
 
@@ -95,12 +97,13 @@ def test_counters_count_every_lookup_once():
 
 def test_capacity_zero_never_stores():
     cache = FitnessCache(0, "lru")
-    ev = CachedEvaluator(lambda c: c.to_int(), cache)
+    evaluated = []
+    ev = CachedEvaluator(lambda c: evaluated.append(c) or c.to_int(), cache)
     for i in (1, 1, 2, 2):
         ev(chrom(i))
     assert cache.counters() == (0, 4)
     assert len(cache) == 0
-    assert ev.eval_count == 4
+    assert len(evaluated) == 4
 
 
 def test_negative_capacity_rejected():
@@ -108,16 +111,10 @@ def test_negative_capacity_rejected():
         FitnessCache(-1, "fifo")
 
 
-def test_put_duplicate_key_rejected():
-    cache = filled("fifo", 1)
-    with pytest.raises(ValueError):
-        cache.put(chrom(1), 99)
-
-
 def test_distinct_keys_with_equal_values_are_separate_entries():
     cache = FitnessCache(4, "fifo")
-    cache.put(chrom(2), 7)
-    cache.put(chrom(3), 7)
+    cache.lookup(chrom(2), lambda key: 7)
+    cache.lookup(chrom(3), lambda key: 7)
     assert len(cache) == 2
     assert cache.dump() == f"{chrom(2)},7\n{chrom(3)},7"
 
@@ -130,9 +127,10 @@ def test_dump_lists_entries_front_to_rear():
 
 def test_contains_does_not_count_or_reorder():
     cache = filled("lru", 1, 2)
+    counters = cache.counters()
     assert chrom(1) in cache
     assert chrom(3) not in cache
-    assert cache.counters() == (0, 0)
+    assert cache.counters() == counters
     assert list(cache.keys()) == [chrom(1), chrom(2)]
 
 
@@ -140,7 +138,7 @@ def test_failed_evaluation_leaves_cache_untouched():
     cache = FitnessCache(2, "lru")
     ev = CachedEvaluator(lambda c: c.to_int(), cache)
     ev(chrom(1))
-    snapshot = (cache.dump(), cache.counters(), ev.eval_count)
+    snapshot = (cache.dump(), cache.counters())
 
     def explode(c):
         raise RuntimeError("fitness unavailable")
@@ -148,7 +146,7 @@ def test_failed_evaluation_leaves_cache_untouched():
     ev.fitness_fn = explode
     with pytest.raises(RuntimeError):
         ev(chrom(2))
-    assert (cache.dump(), cache.counters(), ev.eval_count) == snapshot
+    assert (cache.dump(), cache.counters()) == snapshot
     ev.fitness_fn = lambda c: c.to_int()
     assert ev(chrom(1)) == chrom(1).to_int()  # hit still works afterwards
 
@@ -157,11 +155,11 @@ def test_nan_fitness_is_rejected_and_leaves_cache_untouched():
     cache = FitnessCache(2, "lru")
     ev = CachedEvaluator(lambda c: c.to_int(), cache)
     ev(chrom(1))
-    snapshot = (cache.dump(), cache.counters(), ev.eval_count)
+    snapshot = (cache.dump(), cache.counters())
     ev.fitness_fn = lambda c: float("nan")
     with pytest.raises(ValueError, match=str(chrom(2))):
         ev(chrom(2))
-    assert (cache.dump(), cache.counters(), ev.eval_count) == snapshot
+    assert (cache.dump(), cache.counters()) == snapshot
     assert ev(chrom(1)) == chrom(1).to_int()  # a hit never re-evaluates
 
 
@@ -169,16 +167,17 @@ def test_nan_fitness_fails_a_run():
     ev = CachedEvaluator.uncached(lambda c: float("nan"))
     with pytest.raises(ValueError, match="NaN"):
         Variant("cga").run(8, 4, ev, Rng(0))
-    assert ev.eval_count == 0
+    assert ev.cache.counters() == (0, 0)
 
 
 def test_lookup_or_evaluate_is_transparent():
     rnd = random.Random(7)
-    ev = CachedEvaluator(onemax, FitnessCache(4, "lru"))
+    evaluated = []
+    ev = CachedEvaluator(lambda c: evaluated.append(c) or onemax(c), FitnessCache(4, "lru"))
     for _ in range(300):
         key = chrom(rnd.randrange(16))
         assert ev(key) == onemax(key)
-    assert ev.eval_count == ev.cache.misses
+    assert len(evaluated) == ev.cache.misses
 
 
 policies = st.sampled_from([CachePolicy.FIFO, CachePolicy.LRU])

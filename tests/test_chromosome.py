@@ -49,6 +49,21 @@ def test_constructor_accepts_exact_zeros_and_ones_of_any_dtype():
         assert str(Chromosome(bits)) == "101"
 
 
+def test_constructor_leaves_the_callers_array_writable():
+    bits = np.array([0, 1, 1], dtype=np.uint8)
+    Chromosome(bits)
+    bits[0] = 1  # raises if the constructor froze the caller's array
+
+
+def test_writing_a_views_base_leaves_the_chromosome_unchanged():
+    base = np.array([0, 1, 1, 0], dtype=np.uint8)
+    c = Chromosome(base[1:3])
+    base[1:3] = 0
+    assert str(c) == "11"
+    assert c.bits.tolist() == [1, 1]
+    assert c == Chromosome.from_text("11")
+
+
 def test_equality_is_bitwise():
     assert Chromosome.from_text("0101") == Chromosome(np.array([0, 1, 0, 1]))
     assert Chromosome.from_text("0101") != Chromosome.from_text("0100")
@@ -97,6 +112,12 @@ def test_rng_same_seed_same_stream():
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_rng_rejects_out_of_range_seeds(seed):
     with pytest.raises(ValueError):
+        Rng(seed)
+
+
+@pytest.mark.parametrize("seed", [1.7, 1.0, "1"])
+def test_rng_rejects_non_integral_seeds(seed):
+    with pytest.raises(TypeError, match="seed"):
         Rng(seed)
 
 

@@ -1,7 +1,11 @@
 import csv
+import os
+import subprocess
+import sys
 
 import pytest
 
+import compactga
 from compactga import (
     ExperimentConfig,
     Variant,
@@ -11,6 +15,7 @@ from compactga import (
 )
 from compactga.cli import load_config_file, main, parse_int_list
 from compactga.harness import CSV_COLUMNS
+from test_golden_csv import GOLDEN, sha256
 
 
 def small_config(**overrides):
@@ -47,6 +52,15 @@ def test_config_validation_errors():
         small_config(bits=0)
     with pytest.raises(ValueError):
         small_config(base_seed=-3)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("n_values", (4.9,)), ("capacities", (2.5,)), ("base_seed", 1.5), ("bits", 12.0), ("runs", 2.0)],
+)
+def test_config_rejects_non_integral_numbers(field, value):
+    with pytest.raises(TypeError, match=field):
+        small_config(**{field: value})
 
 
 def test_config_normalizes_axis_order():
@@ -190,6 +204,62 @@ def test_cli_flags_override_config_file(tmp_path):
         rows = list(csv.DictReader(fh))
     assert rows[0]["runs"] == "2"
     assert rows[0]["bits"] == "10"
+
+
+@pytest.mark.parametrize(
+    "file_lines,flags",
+    [
+        (["policy=lru", "runs=3"], []),
+        (["policy=fifo", "runs=5"], ["--policy", "lru", "--runs", "3"]),
+    ],
+    ids=["file-only", "flags-override-file"],
+)
+def test_cli_config_file_reproduces_recorded_digests(tmp_path, file_lines, flags):
+    out, trace = tmp_path / "results.csv", tmp_path / "runs.csv"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        "\n".join(["algo=ne-cga", "eta=2", "problem=binint", "bits=12", "pop=6,12",
+                   "cache=0,1,4", "seed=1", f"out={out}", *file_lines]) + "\n"
+    )
+    assert main(["--config", str(cfg), "--trace", str(trace), *flags]) == 0
+    assert (sha256(out), sha256(trace)) == GOLDEN[("ne-cga(eta=2)", "binint", 12, "lru")]
+
+
+@pytest.mark.parametrize(
+    "line,flag", [("pop=4,x", "--pop"), ("policy=LRU", "--policy"), ("runs=2.5", "--runs")]
+)
+def test_cli_checks_config_file_values_like_flags(tmp_path, capsys, line, flag):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(line + "\n")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--config", str(cfg), "--out", str(tmp_path / "r.csv")])
+    assert exit_info.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_cli_bad_config_value_exits_without_traceback(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("pop=4,x\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(compactga.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "compactga", "--config", str(cfg), "--out", str(tmp_path / "r.csv")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "argument --pop:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_help_shows_defaults(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    for shown in ("(default cga)", "(default 100)", "(default 20)", "(default fifo)",
+                  "(default 50)", "(default results.csv)"):
+        assert shown in help_text
 
 
 def test_cli_trace_writes_per_run_detail(tmp_path):
