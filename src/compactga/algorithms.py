@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .cache import CachedEvaluator
-from .chromosome import Chromosome, Rng
+from .chromosome import Chromosome, Rng, _integer
 from .pv import ProbabilityVector, compete
 
 DEFAULT_ITERATION_CAP = 10_000_000
@@ -46,10 +46,14 @@ class IterationLimitError(RuntimeError):
 class RunStats:
     """Outcome of one run.
 
-    ``evaluations`` counts true fitness-function invocations, which are
-    exactly the cache ``misses``; ``hits + misses`` is the number of
-    lookups, which does not depend on the cache. ``updates`` holds the
-    (winner, loser) pair of every probability-vector update when the run
+    ``evaluations`` counts the fitness-function invocations made through the
+    cache, which are exactly the cache ``misses``; ``hits + misses`` is the
+    number of lookups, which does not depend on the cache. ``solution_fitness``
+    is one more call, made directly on the decoded solution after the loop
+    and counted nowhere, so a run calls the fitness function
+    ``evaluations + 1`` times. ``final_pv`` (the vector's numerators) and
+    ``updates`` are what the trajectory oracles compare; ``updates`` holds
+    the (winner, loser) pair of every probability-vector update when the run
     was traced, and is None otherwise.
     """
 
@@ -60,8 +64,6 @@ class RunStats:
     solution: Chromosome
     solution_fitness: int | float
     final_pv: tuple[int, ...]
-    elite: Optional[Chromosome] = None
-    elite_fitness: Optional[int | float] = None
     updates: Optional[list[tuple[Chromosome, Chromosome]]] = None
 
 
@@ -124,7 +126,7 @@ def _elitist_loop(
     max_iterations: int,
     updates: Optional[list],
     what: str,
-) -> tuple[int, Chromosome, int | float]:
+) -> int:
     """The reigning elite meets one new challenger per iteration.
 
     The first sample stands in as elite with a survival count of -1, so the
@@ -137,7 +139,7 @@ def _elitist_loop(
     update, then installs that iteration's challenger as elite regardless of
     fitness; losing by fitness resets the survival count as well.
 
-    Returns (iterations, elite, elite fitness).
+    Returns the iteration count.
     """
     iterations = 0
     elite = pv.sample(rng)
@@ -158,7 +160,7 @@ def _elitist_loop(
         else:
             elite, elite_fitness = challenger, challenger_fitness
             survivals = 0
-    return iterations, elite, elite_fitness
+    return iterations
 
 
 @dataclass(frozen=True)
@@ -173,6 +175,9 @@ class Variant:
     def __post_init__(self):
         if self.kind not in VARIANT_KINDS:
             raise ValueError(f"unknown algorithm {self.kind!r} (known: {', '.join(VARIANT_KINDS)})")
+        for name in ("s", "m", "eta"):
+            if getattr(self, name) is not None:
+                _integer(name, getattr(self, name))
         if self.kind == "cga-t":
             if self.s is None or self.s < 2:
                 raise ValueError(f"cga-t needs a tournament size >= 2, got {self.s}")
@@ -203,7 +208,11 @@ class Variant:
         max_iterations: int = DEFAULT_ITERATION_CAP,
         trace: bool = False,
     ) -> RunStats:
-        """Execute one run of this variant; ``trace=True`` records every update."""
+        """Execute one run of this variant; ``trace=True`` records every update.
+
+        The harness passes length, population size, evaluator and RNG
+        positionally, and the benchmark tracer reads them in that order.
+        """
         if population_size < 2:
             raise ValueError(f"population size must be at least 2, got {population_size}")
         pv = ProbabilityVector(length, population_size)
@@ -211,12 +220,11 @@ class Variant:
         updates = [] if trace else None
         loop_args = (evaluator, rng, max_iterations, updates,
                      f"{self.label} (l={length}, n={population_size})")
-        elite = elite_fitness = None
         if self.kind == "pe-cga":
-            iterations, elite, elite_fitness = _elitist_loop(pv, None, *loop_args)
+            iterations = _elitist_loop(pv, None, *loop_args)
         elif self.kind == "ne-cga":
             eta = self.eta if self.eta is not None else default_inheritance_length(population_size)
-            iterations, elite, elite_fitness = _elitist_loop(pv, eta, *loop_args)
+            iterations = _elitist_loop(pv, eta, *loop_args)
         elif self.kind == "cga-t":
             iterations = _sampled_loop(pv, self.s, _tournament_pairs, *loop_args)
         else:
@@ -232,7 +240,5 @@ class Variant:
             solution=solution,
             solution_fitness=evaluator.fitness_fn(solution),
             final_pv=pv.numerators,
-            elite=elite,
-            elite_fitness=elite_fitness,
             updates=updates,
         )

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import enum
 from collections import OrderedDict
-from typing import Iterator
 
-from .chromosome import Chromosome
+from .chromosome import Chromosome, _integer
 
 _MISSING = object()
 
@@ -35,11 +34,11 @@ class FitnessCache:
 
     ``hits`` and ``misses`` together count every lookup exactly once. Two
     distinct keys with equal values are stored as separate entries; values
-    are never deduplicated. Membership tests via ``in`` touch neither the
-    counters nor the recency order.
+    are never deduplicated.
     """
 
     def __init__(self, capacity: int, policy: CachePolicy | str = CachePolicy.FIFO):
+        capacity = _integer("capacity", capacity)
         if capacity < 0:
             raise ValueError(f"capacity must be non-negative, got {capacity}")
         self.capacity = capacity
@@ -72,7 +71,10 @@ class FitnessCache:
         return value
 
     def evict_front(self) -> Chromosome:
-        """Remove the entry next in eviction order and return its key."""
+        """Remove the entry next in eviction order and return its key.
+
+        Its own method so that the benchmark tracer can count evictions.
+        """
         if not self._entries:
             raise IndexError("evict_front on an empty cache")
         key, _ = self._entries.popitem(last=False)
@@ -82,26 +84,20 @@ class FitnessCache:
         """(hits, misses) so far."""
         return self.hits, self.misses
 
-    def keys(self) -> Iterator[Chromosome]:
-        """Keys in eviction order, front (next victim) to rear (newest)."""
-        return iter(self._entries)
-
     def dump(self) -> str:
-        """One '<bits>,<fitness>' line per entry, front to rear."""
+        """One '<bits>,<fitness>' line per entry, front to rear.
+
+        The naive-model oracle compares caches through this listing.
+        """
         return "\n".join(f"{key},{value}" for key, value in self._entries.items())
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, key: Chromosome) -> bool:
-        return key in self._entries
-
     def check_consistency(self) -> None:
-        """Verify the entry count stays within capacity and matches ``keys()``."""
+        """Verify the entry count stays within capacity (called by the naive-model oracle)."""
         if len(self) > self.capacity:
             raise AssertionError("entry count exceeds capacity")
-        if len(list(self.keys())) != len(self):
-            raise AssertionError("key listing disagrees with entry count")
 
 
 class CachedEvaluator:
@@ -119,9 +115,12 @@ class CachedEvaluator:
         self.cache = cache
 
     @classmethod
-    def uncached(cls, fitness_fn, policy: CachePolicy | str = CachePolicy.FIFO):
-        """Evaluator with a zero-capacity cache: every lookup evaluates."""
-        return cls(fitness_fn, FitnessCache(0, policy))
+    def uncached(cls, fitness_fn):
+        """Evaluator with a zero-capacity cache: every lookup evaluates.
+
+        The trajectory oracles run their cache-free baseline through it.
+        """
+        return cls(fitness_fn, FitnessCache(0))
 
     def _evaluate(self, chromosome: Chromosome):
         value = self.fitness_fn(chromosome)

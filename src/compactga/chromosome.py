@@ -7,6 +7,14 @@ import operator
 import numpy as np
 
 
+def _integer(name: str, value) -> int:
+    """`value` as an int; a float or any other non-integral type raises, naming `name`."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name}: expected an integer, got {value!r}") from None
+
+
 class Rng:
     """Seeded uniform-variate stream (numpy PCG64 under a 64-bit seed).
 
@@ -17,10 +25,7 @@ class Rng:
     """
 
     def __init__(self, seed: int):
-        try:
-            self.seed = operator.index(seed)
-        except TypeError:
-            raise TypeError(f"seed must be an integer, got {seed!r}") from None
+        self.seed = _integer("seed", seed)
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
@@ -67,7 +72,7 @@ class Chromosome:
 
     @classmethod
     def from_text(cls, text: str) -> "Chromosome":
-        """Build from a '0'/'1' string, gene 0 first."""
+        """Build from a '0'/'1' string, gene 0 first (the naive-cache oracle's keys)."""
         if not text or any(ch not in "01" for ch in text):
             raise ValueError(f"not a bit string: {text!r}")
         return cls(np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0"))

@@ -15,14 +15,13 @@ comparison.
 from __future__ import annotations
 
 import csv
-import operator
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import asdict, dataclass, field
+from typing import Iterable, Optional
 
 from . import metrics
 from .algorithms import IterationLimitError, Variant
 from .cache import CachedEvaluator, CachePolicy, FitnessCache
-from .chromosome import Rng
+from .chromosome import Rng, _integer
 from .problems import fitness_function, problem_bit_limit
 
 CSV_COLUMNS = [
@@ -56,14 +55,6 @@ PER_RUN_COLUMNS = [
     "solution",
     "solution_fitness",
 ]
-
-
-def _integer(name: str, value) -> int:
-    """`value` as an int; a float or any other non-integral type raises, naming `name`."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name}: expected an integer, got {value!r}") from None
 
 
 @dataclass
@@ -111,7 +102,10 @@ class ExperimentConfig:
 
 @dataclass
 class CellResult:
-    """Aggregate of all replicates at one (population, capacity) point."""
+    """Aggregate of all replicates at one (population, capacity) point.
+
+    Field names are the CSV column names; ``write_csv`` relies on it.
+    """
 
     pop: int
     capacity: int
@@ -133,12 +127,6 @@ class SweepResult:
 
     config: ExperimentConfig
     cells: list[CellResult] = field(default_factory=list)
-
-    def cell(self, pop: int, capacity: int) -> CellResult:
-        for c in self.cells:
-            if c.pop == pop and c.capacity == capacity:
-                return c
-        raise KeyError(f"no cell for pop={pop} capacity={capacity}")
 
 
 def run_cell(
@@ -208,43 +196,34 @@ def sweep(config: ExperimentConfig, per_run: Optional[list[dict]] = None) -> Swe
     return result
 
 
-def _format_row(config: ExperimentConfig, cell: CellResult) -> list:
-    return [
-        config.variant.label,
-        config.problem,
-        config.bits,
-        cell.pop,
-        config.policy.value,
-        cell.capacity,
-        cell.runs,
-        f"{cell.iterations_mean:.6f}",
-        cell.hits_sum,
-        cell.misses_sum,
-        cell.neval_nocache,
-        cell.neval_cache,
-        f"{cell.speedup:.6f}",
-        f"{cell.speedup_mean_of_runs:.6f}",
-        f"{cell.hitratio_pct:.6f}",
-        f"{cell.reduction_pct:.6f}",
-    ]
+def _write_rows(path: str, columns: list[str], rows: Iterable[dict]) -> None:
+    """Write a header of `columns`, then one line per row; a key outside `columns` raises."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=columns)
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def write_csv(result: SweepResult, path: str) -> None:
-    """Write one header plus one row per cell, in (pop, capacity) order."""
-    cells = sorted(result.cells, key=lambda c: (c.pop, c.capacity))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for cell in cells:
-            writer.writerow(_format_row(result.config, cell))
-        fh.flush()
+    """Write one header plus one row per cell, in (pop, capacity) order.
+
+    A row is the config's labels plus the cell's fields, every float with six
+    fractional digits.
+    """
+    config = result.config
+    labels = {"algo": config.variant.label, "problem": config.problem,
+              "bits": config.bits, "policy": config.policy.value}
+    rows = (
+        {key: f"{value:.6f}" if isinstance(value, float) else value
+         for key, value in {**labels, **asdict(cell)}.items()}
+        for cell in sorted(result.cells, key=lambda c: (c.pop, c.capacity))
+    )
+    _write_rows(path, CSV_COLUMNS, rows)
 
 
 def write_per_run_csv(rows: list[dict], path: str) -> None:
-    """Write the per-replicate detail collected by ``sweep(..., per_run=...)``."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=PER_RUN_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-        fh.flush()
+    """Write the per-replicate rows collected by ``sweep(..., per_run=...)``.
+
+    Columns follow ``PER_RUN_COLUMNS``; a row key outside it raises.
+    """
+    _write_rows(path, PER_RUN_COLUMNS, rows)

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chromosome import Chromosome, Rng
+from .chromosome import Chromosome, Rng, _integer
 
 
 class ProbabilityVector:
@@ -21,6 +21,8 @@ class ProbabilityVector:
     __slots__ = ("length", "population_size", "_denom", "_num", "_probs")
 
     def __init__(self, length: int, population_size: int):
+        length = _integer("length", length)
+        population_size = _integer("population_size", population_size)
         if length < 1:
             raise ValueError(f"length must be positive, got {length}")
         if population_size < 1:
@@ -36,7 +38,10 @@ class ProbabilityVector:
     def from_probabilities(
         cls, probs: Sequence[float], population_size: int
     ) -> "ProbabilityVector":
-        """Build from explicit entries; each must be representable as k/(2n)."""
+        """Build from explicit entries; each must be representable as k/(2n).
+
+        Tests use it to put a vector in an exact state.
+        """
         pv = cls(len(probs), population_size)
         denom = pv._denom
         for i, p in enumerate(probs):
@@ -50,11 +55,6 @@ class ProbabilityVector:
             pv._num[i] = k
         np.divide(pv._num, denom, out=pv._probs)
         return pv
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        """Current entries as floats (copy)."""
-        return self._probs.copy()
 
     @property
     def numerators(self) -> tuple[int, ...]:

@@ -85,8 +85,6 @@ def test_tournament_updates_per_iteration():
 def test_pe_cga_looks_up_once_per_iteration_after_the_first():
     stats = Variant("pe-cga").run(16, 10, uncached(), Rng(9))
     assert stats.hits + stats.misses == 2 + (stats.iterations - 1)
-    assert stats.elite is not None
-    assert stats.elite_fitness == onemax(stats.elite)
 
 
 def test_ne_cga_with_huge_eta_matches_pe_cga():
@@ -95,7 +93,6 @@ def test_ne_cga_with_huge_eta_matches_pe_cga():
     assert ne.iterations == pe.iterations
     assert ne.updates == pe.updates
     assert ne.final_pv == pe.final_pv
-    assert ne.elite == pe.elite
 
 
 def test_default_inheritance_length_is_tenth_of_population():
@@ -199,6 +196,27 @@ def test_variant_validation_and_labels():
         Variant("cga-rr", m=1)
     with pytest.raises(ValueError):
         Variant("ne-cga", eta=0)
+
+
+@pytest.mark.parametrize(
+    "kind,params",
+    [("cga-t", {"s": 2.5}), ("cga-rr", {"m": 2.5}), ("ne-cga", {"eta": 2.5}), ("ne-cga", {"eta": 2.0})],
+)
+def test_variant_rejects_non_integral_parameters(kind, params):
+    (name,) = params
+    with pytest.raises(TypeError, match=name):
+        Variant(kind, **params)
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.label)
+@pytest.mark.parametrize("capacity", [0, 4])
+def test_run_calls_the_fitness_function_once_more_than_it_counts(variant, capacity):
+    # the decoded solution is evaluated directly, outside the cache and its counters
+    calls = []
+    ev = CachedEvaluator(lambda c: calls.append(c) or onemax(c), FitnessCache(capacity, "lru"))
+    stats = variant.run(12, 6, ev, Rng(1))
+    assert len(calls) == stats.evaluations + 1
+    assert calls[-1] == stats.solution
 
 
 def test_variant_run_dispatch():

@@ -91,10 +91,9 @@ def test_cells_differing_only_in_capacity_share_trajectories():
 def test_sweep_runs_every_cell_and_averages():
     config = small_config(n_values=(4, 8, 12), capacities=(1, 5), runs=2)
     result = sweep(config)
-    assert len(result.cells) == 6
-    assert result.cell(8, 5).pop == 8
-    with pytest.raises(KeyError):
-        result.cell(99, 5)
+    assert [(c.pop, c.capacity) for c in result.cells] == [
+        (4, 1), (4, 5), (8, 1), (8, 5), (12, 1), (12, 5)
+    ]
 
 
 def test_per_run_rows_use_base_seed_plus_run_index():
