@@ -33,6 +33,10 @@ DEFAULT_ITERATION_CAP = 10_000_000
 
 VARIANT_KINDS = ("cga", "cga-t", "cga-rr", "pe-cga", "ne-cga")
 
+# the one selection-pressure parameter a kind takes, and its smallest value;
+# cga and pe-cga take none
+VARIANT_PARAMETERS = {"cga-t": ("s", 2), "cga-rr": ("m", 2), "ne-cga": ("eta", 1)}
+
 
 class IterationLimitError(RuntimeError):
     """A run failed to converge within its iteration cap."""
@@ -46,9 +50,11 @@ class IterationLimitError(RuntimeError):
 class RunStats:
     """Outcome of one run.
 
-    ``evaluations`` counts the fitness-function invocations made through the
-    cache, which are exactly the cache ``misses``; ``hits + misses`` is the
-    number of lookups, which does not depend on the cache. ``solution_fitness``
+    The fields before ``final_pv``, in order, are the stats columns of a
+    per-replicate (``--trace``) CSV row. ``evaluations`` counts the
+    fitness-function invocations made through the cache, which are exactly
+    the cache ``misses``; ``hits + misses`` is the number of lookups, which
+    does not depend on the cache. ``solution_fitness``
     is one more call, made directly on the decoded solution after the loop
     and counted nowhere, so a run calls the fitness function
     ``evaluations + 1`` times. ``final_pv`` (the vector's numerators) and
@@ -57,10 +63,10 @@ class RunStats:
     was traced, and is None otherwise.
     """
 
-    evaluations: int
+    iterations: int
     hits: int
     misses: int
-    iterations: int
+    evaluations: int
     solution: Chromosome
     solution_fitness: int | float
     final_pv: tuple[int, ...]
@@ -95,9 +101,7 @@ def _sampled_loop(
     pairs: Callable[[list[Chromosome], list], list[tuple[Chromosome, Chromosome]]],
     evaluator: CachedEvaluator,
     rng: Rng,
-    max_iterations: int,
     updates: Optional[list],
-    what: str,
 ) -> int:
     """Sample k chromosomes, evaluate them in sampling order, apply ``pairs``.
 
@@ -106,8 +110,8 @@ def _sampled_loop(
     """
     iterations = 0
     while not pv.is_converged():
-        if iterations >= max_iterations:
-            raise IterationLimitError(f"{what} not converged after {iterations} iterations", iterations)
+        if iterations >= DEFAULT_ITERATION_CAP:
+            raise IterationLimitError(f"not converged after {iterations} iterations", iterations)
         iterations += 1
         candidates = [pv.sample(rng) for _ in range(k)]
         fitnesses = [evaluator(c) for c in candidates]
@@ -123,9 +127,7 @@ def _elitist_loop(
     eta: Optional[int],
     evaluator: CachedEvaluator,
     rng: Rng,
-    max_iterations: int,
     updates: Optional[list],
-    what: str,
 ) -> int:
     """The reigning elite meets one new challenger per iteration.
 
@@ -146,8 +148,8 @@ def _elitist_loop(
     elite_fitness = evaluator(elite)
     survivals = -1
     while not pv.is_converged():
-        if iterations >= max_iterations:
-            raise IterationLimitError(f"{what} not converged after {iterations} iterations", iterations)
+        if iterations >= DEFAULT_ITERATION_CAP:
+            raise IterationLimitError(f"not converged after {iterations} iterations", iterations)
         iterations += 1
         challenger = pv.sample(rng)
         challenger_fitness = evaluator(challenger)
@@ -165,7 +167,15 @@ def _elitist_loop(
 
 @dataclass(frozen=True)
 class Variant:
-    """An algorithm choice with its selection-pressure parameters."""
+    """An algorithm choice with its one selection-pressure parameter.
+
+    ``cga-t`` takes the tournament size ``s`` and ``cga-rr`` the round-robin
+    size ``m``, each required and at least 2. ``ne-cga`` takes the
+    inheritance length ``eta``, at least 1; ``eta=None`` means ``ceil(n/10)``
+    for population size n. ``cga`` and ``pe-cga`` take none. These rules
+    live in ``VARIANT_PARAMETERS``; a parameter the kind does not take
+    raises ValueError.
+    """
 
     kind: str
     s: Optional[int] = None
@@ -175,28 +185,24 @@ class Variant:
     def __post_init__(self):
         if self.kind not in VARIANT_KINDS:
             raise ValueError(f"unknown algorithm {self.kind!r} (known: {', '.join(VARIANT_KINDS)})")
-        for name in ("s", "m", "eta"):
-            if getattr(self, name) is not None:
-                _integer(name, getattr(self, name))
-        if self.kind == "cga-t":
-            if self.s is None or self.s < 2:
-                raise ValueError(f"cga-t needs a tournament size >= 2, got {self.s}")
-        if self.kind == "cga-rr":
-            if self.m is None or self.m < 2:
-                raise ValueError(f"cga-rr needs a round-robin size >= 2, got {self.m}")
-        if self.kind == "ne-cga" and self.eta is not None and self.eta < 1:
-            raise ValueError(f"ne-cga needs an inheritance length >= 1, got {self.eta}")
+        name, smallest = VARIANT_PARAMETERS.get(self.kind, (None, None))
+        for stray in ("s", "m", "eta"):
+            if stray != name and getattr(self, stray) is not None:
+                raise ValueError(f"{self.kind} does not take {stray!r}")
+        value = getattr(self, name) if name else None
+        if value is None and name in ("s", "m"):  # eta=None resolves per population
+            raise ValueError(f"{self.kind} needs {name} >= {smallest}, got None")
+        if value is not None and _integer(name, value) < smallest:
+            raise ValueError(f"{self.kind} needs {name} >= {smallest}, got {value}")
 
     @property
     def label(self) -> str:
         """Stable human-readable name, used in CSV output."""
-        if self.kind == "cga-t":
-            return f"cga-t(s={self.s})"
-        if self.kind == "cga-rr":
-            return f"cga-rr(m={self.m})"
-        if self.kind == "ne-cga":
-            return f"ne-cga(eta={self.eta if self.eta is not None else 'auto'})"
-        return self.kind
+        if self.kind not in VARIANT_PARAMETERS:
+            return self.kind
+        name, _ = VARIANT_PARAMETERS[self.kind]
+        value = getattr(self, name)
+        return f"{self.kind}({name}={'auto' if value is None else value})"
 
     def run(
         self,
@@ -205,7 +211,6 @@ class Variant:
         evaluator: CachedEvaluator,
         rng: Rng,
         *,
-        max_iterations: int = DEFAULT_ITERATION_CAP,
         trace: bool = False,
     ) -> RunStats:
         """Execute one run of this variant; ``trace=True`` records every update.
@@ -218,25 +223,19 @@ class Variant:
         pv = ProbabilityVector(length, population_size)
         hits0, misses0 = evaluator.cache.counters()
         updates = [] if trace else None
-        loop_args = (evaluator, rng, max_iterations, updates,
-                     f"{self.label} (l={length}, n={population_size})")
-        if self.kind == "pe-cga":
-            iterations = _elitist_loop(pv, None, *loop_args)
-        elif self.kind == "ne-cga":
-            eta = self.eta if self.eta is not None else default_inheritance_length(population_size)
-            iterations = _elitist_loop(pv, eta, *loop_args)
-        elif self.kind == "cga-t":
-            iterations = _sampled_loop(pv, self.s, _tournament_pairs, *loop_args)
+        if self.kind in ("pe-cga", "ne-cga"):
+            eta = None if self.kind == "pe-cga" else self.eta or default_inheritance_length(population_size)
+            iterations = _elitist_loop(pv, eta, evaluator, rng, updates)
         else:
-            k = self.m if self.kind == "cga-rr" else 2
-            iterations = _sampled_loop(pv, k, _round_robin_pairs, *loop_args)
+            pairs = _tournament_pairs if self.kind == "cga-t" else _round_robin_pairs
+            iterations = _sampled_loop(pv, self.s or self.m or 2, pairs, evaluator, rng, updates)
         solution = pv.decode()
         hits, misses = evaluator.cache.counters()
         return RunStats(
-            evaluations=misses - misses0,
+            iterations=iterations,
             hits=hits - hits0,
             misses=misses - misses0,
-            iterations=iterations,
+            evaluations=misses - misses0,
             solution=solution,
             solution_fitness=evaluator.fitness_fn(solution),
             final_pv=pv.numerators,

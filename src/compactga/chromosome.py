@@ -8,11 +8,13 @@ import numpy as np
 
 
 def _integer(name: str, value) -> int:
-    """`value` as an int; a float or any other non-integral type raises, naming `name`."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name}: expected an integer, got {value!r}") from None
+    """`value` as an int; a bool, a float or any other non-integral type raises, naming `name`."""
+    if not isinstance(value, bool):  # operator.index takes True as 1
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name}: expected an integer, got {value!r}")
 
 
 class Rng:

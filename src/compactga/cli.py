@@ -13,7 +13,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .algorithms import VARIANT_KINDS, IterationLimitError, Variant
+from .algorithms import VARIANT_KINDS, VARIANT_PARAMETERS, IterationLimitError, Variant
 from .harness import ExperimentConfig, sweep, write_csv, write_per_run_csv
 from .problems import FITNESS_FUNCTIONS
 
@@ -90,15 +90,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    """The sweep described by parsed flags; s, m and eta apply only to their variant."""
-    variant = Variant(
-        args.algo,
-        s=args.s if args.algo == "cga-t" else None,
-        m=args.m if args.algo == "cga-rr" else None,
-        eta=args.eta if args.algo == "ne-cga" else None,
-    )
+    """The sweep described by parsed flags; of s, m and eta only the chosen variant's applies."""
+    name = VARIANT_PARAMETERS.get(args.algo, (None,))[0]
+    params = {name: getattr(args, name)} if name else {}
     return ExperimentConfig(
-        variant=variant,
+        variant=Variant(args.algo, **params),
         problem=args.problem,
         bits=DEFAULT_BITS[args.problem] if args.bits is None else args.bits,
         n_values=args.pop,

@@ -15,47 +15,14 @@ comparison.
 from __future__ import annotations
 
 import csv
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Iterable, Optional
 
 from . import metrics
-from .algorithms import IterationLimitError, Variant
+from .algorithms import IterationLimitError, RunStats, Variant
 from .cache import CachedEvaluator, CachePolicy, FitnessCache
 from .chromosome import Rng, _integer
 from .problems import fitness_function, problem_bit_limit
-
-CSV_COLUMNS = [
-    "algo",
-    "problem",
-    "bits",
-    "pop",
-    "policy",
-    "capacity",
-    "runs",
-    "iterations_mean",
-    "hits_sum",
-    "misses_sum",
-    "neval_nocache",
-    "neval_cache",
-    "speedup",
-    "speedup_mean_of_runs",
-    "hitratio_pct",
-    "reduction_pct",
-]
-
-PER_RUN_COLUMNS = [
-    "pop",
-    "capacity",
-    "run",
-    "seed",
-    "iterations",
-    "hits",
-    "misses",
-    "evaluations",
-    "solution",
-    "solution_fitness",
-]
-
 
 @dataclass
 class ExperimentConfig:
@@ -104,10 +71,14 @@ class ExperimentConfig:
 class CellResult:
     """Aggregate of all replicates at one (population, capacity) point.
 
-    Field names are the CSV column names; ``write_csv`` relies on it.
+    It is one results-CSV row: its fields, in order, are the CSV columns.
     """
 
+    algo: str
+    problem: str
+    bits: int
     pop: int
+    policy: str
     capacity: int
     runs: int
     iterations_mean: float
@@ -119,6 +90,12 @@ class CellResult:
     speedup_mean_of_runs: float
     hitratio_pct: float
     reduction_pct: float
+
+
+CSV_COLUMNS = [f.name for f in fields(CellResult)]
+
+# RunStats fields that only the trajectory oracles read; a per-run row holds the others
+_TRAJECTORY_FIELDS = ("final_pv", "updates")
 
 
 @dataclass
@@ -148,7 +125,7 @@ def run_cell(
             stats = config.variant.run(config.bits, pop, evaluator, Rng(seed))
         except IterationLimitError as exc:
             raise IterationLimitError(
-                f"{config.variant.label} on {config.problem}: "
+                f"{config.variant.label} on {config.problem}: bits={config.bits} "
                 f"pop={pop} capacity={capacity} run={r} seed={seed}: {exc}",
                 exc.iterations,
             ) from exc
@@ -157,22 +134,15 @@ def run_cell(
         iterations_sum += stats.iterations
         speedups.append(metrics.speedup(stats.hits + stats.misses, stats.misses))
         if per_run is not None:
-            per_run.append(
-                {
-                    "pop": pop,
-                    "capacity": capacity,
-                    "run": r,
-                    "seed": seed,
-                    "iterations": stats.iterations,
-                    "hits": stats.hits,
-                    "misses": stats.misses,
-                    "evaluations": stats.evaluations,
-                    "solution": str(stats.solution),
-                    "solution_fitness": stats.solution_fitness,
-                }
-            )
+            per_run.append({"pop": pop, "capacity": capacity, "run": r, "seed": seed,
+                            **{f.name: getattr(stats, f.name) for f in fields(RunStats)
+                               if f.name not in _TRAJECTORY_FIELDS}})
     return CellResult(
+        algo=config.variant.label,
+        problem=config.problem,
+        bits=config.bits,
         pop=pop,
+        policy=config.policy.value,
         capacity=capacity,
         runs=config.runs,
         iterations_mean=iterations_sum / config.runs,
@@ -207,15 +177,10 @@ def _write_rows(path: str, columns: list[str], rows: Iterable[dict]) -> None:
 def write_csv(result: SweepResult, path: str) -> None:
     """Write one header plus one row per cell, in (pop, capacity) order.
 
-    A row is the config's labels plus the cell's fields, every float with six
-    fractional digits.
+    A row is the cell's fields, every float with six fractional digits.
     """
-    config = result.config
-    labels = {"algo": config.variant.label, "problem": config.problem,
-              "bits": config.bits, "policy": config.policy.value}
     rows = (
-        {key: f"{value:.6f}" if isinstance(value, float) else value
-         for key, value in {**labels, **asdict(cell)}.items()}
+        {key: f"{value:.6f}" if isinstance(value, float) else value for key, value in asdict(cell).items()}
         for cell in sorted(result.cells, key=lambda c: (c.pop, c.capacity))
     )
     _write_rows(path, CSV_COLUMNS, rows)
@@ -224,6 +189,6 @@ def write_csv(result: SweepResult, path: str) -> None:
 def write_per_run_csv(rows: list[dict], path: str) -> None:
     """Write the per-replicate rows collected by ``sweep(..., per_run=...)``.
 
-    Columns follow ``PER_RUN_COLUMNS``; a row key outside it raises.
+    The columns are the rows' keys, in ``run_cell``'s order.
     """
-    _write_rows(path, PER_RUN_COLUMNS, rows)
+    _write_rows(path, list(rows[0]) if rows else [], rows)

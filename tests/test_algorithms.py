@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 import reference_algos as ref
+from compactga import algorithms
 from compactga import (
     CachedEvaluator,
     CachePolicy,
@@ -49,9 +50,10 @@ def test_argument_validation():
         Variant("ne-cga", eta=0).run(4, 10, uncached(), Rng(0))
 
 
-def test_iteration_cap_raises():
+def test_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(algorithms, "DEFAULT_ITERATION_CAP", 3)
     with pytest.raises(IterationLimitError) as err:
-        Variant("cga").run(60, 60, uncached(), Rng(1), max_iterations=3)
+        Variant("cga").run(60, 60, uncached(), Rng(1))
     assert err.value.iterations == 3
 
 
@@ -200,12 +202,25 @@ def test_variant_validation_and_labels():
 
 @pytest.mark.parametrize(
     "kind,params",
-    [("cga-t", {"s": 2.5}), ("cga-rr", {"m": 2.5}), ("ne-cga", {"eta": 2.5}), ("ne-cga", {"eta": 2.0})],
+    [("cga-t", {"s": 2.5}), ("cga-rr", {"m": 2.5}), ("ne-cga", {"eta": 2.5}), ("ne-cga", {"eta": 2.0}),
+     ("cga-t", {"s": True}), ("cga-rr", {"m": True}), ("ne-cga", {"eta": True})],
 )
 def test_variant_rejects_non_integral_parameters(kind, params):
     (name,) = params
     with pytest.raises(TypeError, match=name):
         Variant(kind, **params)
+
+
+OWN_PARAMETERS = {"cga": {}, "cga-t": {"s": 4}, "cga-rr": {"m": 4}, "pe-cga": {}, "ne-cga": {"eta": 2}}
+
+
+@pytest.mark.parametrize(
+    "kind,name",
+    [(kind, name) for kind, own in OWN_PARAMETERS.items() for name in ("s", "m", "eta") if name not in own],
+)
+def test_variant_rejects_a_parameter_its_kind_does_not_take(kind, name):
+    with pytest.raises(ValueError, match=f"does not take '{name}'"):
+        Variant(kind, **OWN_PARAMETERS[kind], **{name: 4})
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.label)

@@ -111,7 +111,7 @@ def test_negative_capacity_rejected():
         FitnessCache(-1, "fifo")
 
 
-@pytest.mark.parametrize("capacity", [2.5, 2.0, "2"])
+@pytest.mark.parametrize("capacity", [2.5, 2.0, "2", True, False])
 def test_non_integral_capacity_rejected(capacity):
     with pytest.raises(TypeError, match="capacity"):
         FitnessCache(capacity, "fifo")

@@ -115,7 +115,7 @@ def test_rng_rejects_out_of_range_seeds(seed):
         Rng(seed)
 
 
-@pytest.mark.parametrize("seed", [1.7, 1.0, "1"])
+@pytest.mark.parametrize("seed", [1.7, 1.0, "1", True, False])
 def test_rng_rejects_non_integral_seeds(seed):
     with pytest.raises(TypeError, match="seed"):
         Rng(seed)

@@ -56,7 +56,8 @@ def test_config_validation_errors():
 
 @pytest.mark.parametrize(
     "field,value",
-    [("n_values", (4.9,)), ("capacities", (2.5,)), ("base_seed", 1.5), ("bits", 12.0), ("runs", 2.0)],
+    [("n_values", (4.9,)), ("capacities", (2.5,)), ("base_seed", 1.5), ("bits", 12.0), ("runs", 2.0),
+     ("runs", True), ("capacities", (True,)), ("base_seed", False), ("bits", True), ("n_values", (True,))],
 )
 def test_config_rejects_non_integral_numbers(field, value):
     with pytest.raises(TypeError, match=field):

@@ -25,7 +25,10 @@ def test_constructor_validation():
         ProbabilityVector(4, 0)
 
 
-@pytest.mark.parametrize("name,args", [("length", (8.0, 4)), ("population_size", (8, 4.5))])
+@pytest.mark.parametrize(
+    "name,args",
+    [("length", (8.0, 4)), ("population_size", (8, 4.5)), ("length", (True, 4)), ("population_size", (8, True))],
+)
 def test_constructor_rejects_non_integral_sizes(name, args):
     with pytest.raises(TypeError, match=name):
         ProbabilityVector(*args)
