@@ -18,6 +18,8 @@ from .harness import ExperimentConfig, sweep, write_csv, write_per_run_csv
 from .problems import FITNESS_FUNCTIONS
 
 DEFAULT_BITS = {"onemax": 100, "binint": 30}
+# s for cga-t and m for cga-rr when the flag is not given
+DEFAULT_GROUP_SIZE = 4
 
 # the flags a config file may set; --config and --trace are command-line only
 CONFIG_KEYS = ("algo", "s", "m", "eta", "problem", "bits", "pop", "cache", "policy", "runs", "seed", "out")
@@ -60,12 +62,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--algo", choices=VARIANT_KINDS, default="cga",
                         help="algorithm variant (default %(default)s)")
-    parser.add_argument("--s", type=int, default=4,
-                        help="tournament size for cga-t (default %(default)s)")
-    parser.add_argument("--m", type=int, default=4,
-                        help="round-robin size for cga-rr (default %(default)s)")
+    parser.add_argument("--s", type=int,
+                        help=f"tournament size, cga-t only (default {DEFAULT_GROUP_SIZE})")
+    parser.add_argument("--m", type=int,
+                        help=f"round-robin size, cga-rr only (default {DEFAULT_GROUP_SIZE})")
     parser.add_argument("--eta", type=int,
-                        help="elite survival limit for ne-cga (default ceil(pop/10))")
+                        help="elite survival limit, ne-cga only (default ceil(pop/10))")
     parser.add_argument("--problem", choices=list(FITNESS_FUNCTIONS), default="onemax",
                         help="fitness function (default %(default)s)")
     parser.add_argument("--bits", type=int,
@@ -90,9 +92,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    """The sweep described by parsed flags; of s, m and eta only the chosen variant's applies."""
+    """The sweep described by parsed flags.
+
+    Every given s, m or eta goes to the variant, which raises ValueError for
+    one its kind does not take; cga-t and cga-rr default to size 4.
+    """
+    params = {key: getattr(args, key) for key in ("s", "m", "eta") if getattr(args, key) is not None}
     name = VARIANT_PARAMETERS.get(args.algo, (None,))[0]
-    params = {name: getattr(args, name)} if name else {}
+    if name in ("s", "m"):
+        params.setdefault(name, DEFAULT_GROUP_SIZE)
     return ExperimentConfig(
         variant=Variant(args.algo, **params),
         problem=args.problem,

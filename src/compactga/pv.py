@@ -18,7 +18,7 @@ from .chromosome import Chromosome, Rng, _integer
 class ProbabilityVector:
     """Per-gene probability of allele 1, quantized to steps of 1/n."""
 
-    __slots__ = ("length", "population_size", "_denom", "_num", "_probs")
+    __slots__ = ("length", "population_size", "_denom", "_num", "_probs", "_witness")
 
     def __init__(self, length: int, population_size: int):
         length = _integer("length", length)
@@ -33,6 +33,8 @@ class ProbabilityVector:
         # every entry starts at 1/2, i.e. numerator n over 2n
         self._num = np.full(length, population_size, dtype=np.int64)
         self._probs = self._num / self._denom
+        # a gene last seen strictly between 0 and 1; only a hint, see is_converged
+        self._witness = 0
 
     @classmethod
     def from_probabilities(
@@ -71,19 +73,44 @@ class ProbabilityVector:
         return Chromosome(u < self._probs)
 
     def update(self, winner: Chromosome, loser: Chromosome) -> None:
-        """Shift each entry 1/n toward the winner where the two disagree."""
+        """Shift each entry 1/n toward the winner where the two disagree.
+
+        Entries saturate at 0 and 1 after every single update, so the order
+        of a sequence of updates matters and they cannot be summed first.
+        """
         if winner.length != self.length or loser.length != self.length:
             raise ValueError("chromosome length does not match vector length")
         if winner.packed == loser.packed:
             return
-        delta = winner.bits.astype(np.int16) - loser.bits
-        self._num += 2 * delta
-        np.clip(self._num, 0, self._denom, out=self._num)
-        np.divide(self._num, self._denom, out=self._probs)
+        # +1/-1/0 per gene, doubled in int8: a step of 1/n is two numerator units
+        delta = np.subtract(winner.bits.view(np.int8), loser.bits.view(np.int8))
+        delta += delta
+        num = self._num
+        num += delta
+        # maximum + minimum rather than np.clip: at l=100 np.clip spends most
+        # of its time in per-call dtype-limit checks, not in the clamp itself
+        np.maximum(num, 0, out=num)
+        np.minimum(num, self._denom, out=num)
+        np.divide(num, self._denom, out=self._probs)
 
     def is_converged(self) -> bool:
-        """True iff every entry is exactly 0 or 1."""
-        return bool(((self._num == 0) | (self._num == self._denom)).all())
+        """True iff every entry is exactly 0 or 1.
+
+        Checks one remembered open gene (the witness) first and returns
+        False, in constant time, while it is still open. Once it has
+        settled, every gene is scanned: the first open one becomes the new
+        witness, and only a scan that finds none returns True. True thus
+        always comes from a full scan, so a gene that re-opens after
+        saturating is never missed.
+        """
+        if 0 < self._num.item(self._witness) < self._denom:
+            return False
+        open_genes = (self._num > 0) & (self._num < self._denom)
+        witness = int(open_genes.argmax())
+        if open_genes[witness]:
+            self._witness = witness
+            return False
+        return True
 
     def decode(self) -> Chromosome:
         """Chromosome with allele 1 exactly where p is 1 (meaningful once converged)."""

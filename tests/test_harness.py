@@ -238,6 +238,36 @@ def test_cli_checks_config_file_values_like_flags(tmp_path, capsys, line, flag):
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "file_lines,flags,stray",
+    [
+        ([], ["--algo", "cga", "--s", "7"], "s"),
+        ([], ["--algo", "pe-cga", "--eta", "3"], "eta"),
+        ([], ["--algo", "cga-t", "--m", "3"], "m"),
+        (["algo=cga", "s=7"], [], "s"),
+        (["algo=cga-rr", "eta=2"], [], "eta"),
+        (["s=7"], ["--algo", "cga-rr"], "s"),
+    ],
+    ids=["cga-s", "pe-cga-eta", "cga-t-m", "file-cga-s", "file-cga-rr-eta", "file-s-flag-cga-rr"],
+)
+def test_cli_rejects_a_parameter_the_algo_does_not_take(tmp_path, capsys, file_lines, flags, stray):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("".join(line + "\n" for line in file_lines))
+    out = tmp_path / "r.csv"
+    code = main(["--config", str(cfg), "--bits", "8", "--pop", "4", "--runs", "1", "--out", str(out), *flags])
+    assert code == 2
+    assert f"does not take {stray!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("algo,label", [("cga-t", "cga-t(s=4)"), ("cga-rr", "cga-rr(m=4)")])
+def test_cli_group_size_defaults_to_four(tmp_path, algo, label):
+    out = tmp_path / "r.csv"
+    assert main(["--algo", algo, "--bits", "8", "--pop", "4", "--runs", "1", "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        assert [r["algo"] for r in csv.DictReader(fh)] == [label]
+
+
 def test_cli_bad_config_value_exits_without_traceback(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("pop=4,x\n")

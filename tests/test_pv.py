@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import event, given
 from hypothesis import strategies as st
 
 from compactga import Chromosome, ProbabilityVector, compete
@@ -99,6 +99,47 @@ def test_is_converged_examples():
     assert ProbabilityVector.from_probabilities([1.0, 0.0, 1.0], 9).is_converged()
     assert not ProbabilityVector.from_probabilities([0.5, 1.0], 9).is_converged()
     assert not ProbabilityVector(17, 4).is_converged()
+
+
+def full_scan_converged(pv):
+    return all(k in (0, 2 * pv.population_size) for k in pv.numerators)
+
+
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.sampled_from([0, 2 * n, n, 1, 2 * n - 1]), min_size=1, max_size=12),
+        )
+    ),
+    st.data(),
+)
+def test_is_converged_matches_a_full_scan_after_every_update(n_and_nums, data):
+    # starts mostly saturated, so updates both settle open genes and re-open
+    # saturated ones, including the witness and genes the witness does not cover
+    n, nums = n_and_nums
+    length = len(nums)
+    pv = ProbabilityVector.from_probabilities([k / (2 * n) for k in nums], n)
+    assert pv.is_converged() == full_scan_converged(pv)
+    bits = st.lists(st.integers(0, 1), min_size=length, max_size=length)
+    steps = data.draw(st.lists(st.tuples(bits, bits), max_size=40))
+    for w, lo in steps:
+        before = pv.numerators
+        pv.update(Chromosome(np.array(w, dtype=np.uint8)), Chromosome(np.array(lo, dtype=np.uint8)))
+        if any(b in (0, 2 * n) and 0 < a < 2 * n for b, a in zip(before, pv.numerators)):
+            event("a saturated gene re-opened")
+        assert pv.is_converged() == full_scan_converged(pv)
+
+
+def test_is_converged_sees_a_saturated_gene_reopen():
+    pv = ProbabilityVector.from_probabilities([1.0, 0.5], 2)
+    assert not pv.is_converged()  # gene 0 scanned as settled, gene 1 open
+    pv.update(chrom("01"), chrom("10"))  # gene 0 re-opens, gene 1 settles
+    assert pv.numerators == (2, 4)
+    assert not pv.is_converged()
+    pv.update(chrom("11"), chrom("01"))
+    assert pv.numerators == (4, 4)
+    assert pv.is_converged()
 
 
 def test_converged_entries_are_absorbing():
