@@ -112,7 +112,10 @@ def run_cell(
     capacity: int,
     per_run: Optional[list[dict]] = None,
 ) -> CellResult:
-    """Run every replicate of one cell and aggregate the counters."""
+    """Run every replicate of one cell and aggregate the counters.
+
+    A replicate's IterationLimitError or ValueError is re-raised with the cell and seed in front.
+    """
     fn = fitness_function(config.problem)
     hits_sum = 0
     misses_sum = 0
@@ -123,12 +126,12 @@ def run_cell(
         evaluator = CachedEvaluator(fn, FitnessCache(capacity, config.policy))
         try:
             stats = config.variant.run(config.bits, pop, evaluator, Rng(seed))
-        except IterationLimitError as exc:
-            raise IterationLimitError(
-                f"{config.variant.label} on {config.problem}: bits={config.bits} "
-                f"pop={pop} capacity={capacity} run={r} seed={seed}: {exc}",
-                exc.iterations,
-            ) from exc
+        except (IterationLimitError, ValueError) as exc:
+            where = (f"{config.variant.label} on {config.problem}: bits={config.bits} "
+                     f"pop={pop} capacity={capacity} run={r} seed={seed}")
+            if isinstance(exc, IterationLimitError):
+                raise IterationLimitError(f"{where}: {exc}", exc.iterations) from exc
+            raise ValueError(f"{where}: {exc}") from exc
         hits_sum += stats.hits
         misses_sum += stats.misses
         iterations_sum += stats.iterations

@@ -16,9 +16,13 @@ from .chromosome import Chromosome, Rng, _integer
 
 
 class ProbabilityVector:
-    """Per-gene probability of allele 1, quantized to steps of 1/n."""
+    """Per-gene probability of allele 1, quantized to steps of 1/n.
 
-    __slots__ = ("length", "population_size", "_denom", "_num", "_probs", "_witness")
+    The integer numerators are the state; :meth:`update` marks the float
+    entries stale and the next :meth:`sample` divides once to refresh them.
+    """
+
+    __slots__ = ("length", "population_size", "_denom", "_num", "_probs", "_stale", "_witness")
 
     def __init__(self, length: int, population_size: int):
         length = _integer("length", length)
@@ -32,7 +36,8 @@ class ProbabilityVector:
         self._denom = 2 * population_size
         # every entry starts at 1/2, i.e. numerator n over 2n
         self._num = np.full(length, population_size, dtype=np.int64)
-        self._probs = self._num / self._denom
+        self._probs = np.empty(length)
+        self._stale = True  # _probs no longer equals _num / _denom
         # a gene last seen strictly between 0 and 1; only a hint, see is_converged
         self._witness = 0
 
@@ -55,8 +60,7 @@ class ProbabilityVector:
                     f"probability {p} at gene {i} is not a multiple of 1/{denom}"
                 )
             pv._num[i] = k
-        np.divide(pv._num, denom, out=pv._probs)
-        return pv
+        return pv  # still stale from __init__, so the first sample divides
 
     @property
     def numerators(self) -> tuple[int, ...]:
@@ -68,8 +72,12 @@ class ProbabilityVector:
 
         Always consumes exactly ``length`` variates, also for entries pinned
         at 0 or 1, so the draw count never depends on the vector's state.
+        After an update, p is first recomputed as the quotients num / 2n.
         """
         u = rng.uniforms(self.length)
+        if self._stale:
+            np.divide(self._num, self._denom, out=self._probs)
+            self._stale = False
         return Chromosome(u < self._probs)
 
     def update(self, winner: Chromosome, loser: Chromosome) -> None:
@@ -77,6 +85,7 @@ class ProbabilityVector:
 
         Entries saturate at 0 and 1 after every single update, so the order
         of a sequence of updates matters and they cannot be summed first.
+        Only the numerators change; the next :meth:`sample` divides.
         """
         if winner.length != self.length or loser.length != self.length:
             raise ValueError("chromosome length does not match vector length")
@@ -91,7 +100,7 @@ class ProbabilityVector:
         # of its time in per-call dtype-limit checks, not in the clamp itself
         np.maximum(num, 0, out=num)
         np.minimum(num, self._denom, out=num)
-        np.divide(num, self._denom, out=self._probs)
+        self._stale = True
 
     def is_converged(self) -> bool:
         """True iff every entry is exactly 0 or 1.

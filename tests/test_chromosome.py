@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from compactga import Chromosome, ProbabilityVector, Rng
+from compactga.chromosome import _BLOCK
 
 bit_lists = st.lists(st.integers(0, 1), min_size=1, max_size=80)
 
@@ -107,6 +108,32 @@ def test_rng_same_seed_same_stream():
     b = Rng(987654321).uniforms(64)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, Rng(987654322).uniforms(64))
+
+
+@pytest.mark.parametrize("count,error", [(-1, ValueError), (2.5, TypeError), (True, TypeError), ("3", TypeError)])
+def test_rng_rejects_bad_counts(count, error):
+    with pytest.raises(error, match="count"):
+        Rng(7).uniforms(count)
+
+
+# counts around 0, around a block refill and of at least a block
+draw_counts = st.lists(
+    st.one_of(st.integers(0, 40), st.integers(_BLOCK - 40, _BLOCK + 40), st.integers(2 * _BLOCK - 2, 2 * _BLOCK + 2)),
+    max_size=12,
+)
+
+
+@given(st.integers(0, 2**64 - 1), draw_counts)
+def test_block_reads_equal_one_read_of_the_stream(seed, counts):
+    rng = Rng(seed)
+    handed_out = [(rng.uniforms(count), count) for count in counts]
+    # checked only after every draw, so an overwritten earlier array shows too
+    stream = np.random.Generator(np.random.PCG64(seed)).random(sum(counts))
+    offset = 0
+    for u, count in handed_out:
+        assert u.dtype == np.float64 and u.shape == (count,)
+        assert np.array_equal(u, stream[offset:offset + count])
+        offset += count
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])

@@ -15,6 +15,7 @@ from compactga import (
 )
 from compactga.cli import load_config_file, main, parse_int_list
 from compactga.harness import CSV_COLUMNS
+from compactga.problems import FITNESS_FUNCTIONS
 from test_golden_csv import GOLDEN, sha256
 
 
@@ -309,6 +310,31 @@ def test_cli_reports_errors(tmp_path, capsys):
     code = main(["--bits", "0", "--out", str(tmp_path / "r.csv")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+NAN_PREFIX = "cga on nan: bits=6 pop=4 capacity=2 run=0 seed=9: "
+
+
+@pytest.fixture
+def nan_problem(monkeypatch):
+    monkeypatch.setitem(FITNESS_FUNCTIONS, "nan", lambda c: float("nan"))
+
+
+def test_run_cell_names_the_cell_and_seed_of_a_value_error(nan_problem):
+    config = small_config(problem="nan", bits=6, n_values=(4,), capacities=(2,))
+    with pytest.raises(ValueError) as err:
+        run_cell(config, 4, 2)
+    assert str(err.value).startswith(NAN_PREFIX)
+    assert str(err.value).endswith("is NaN")
+    assert isinstance(err.value.__cause__, ValueError)
+    assert str(err.value) == NAN_PREFIX + str(err.value.__cause__)
+
+
+def test_cli_names_the_cell_and_seed_of_a_value_error(nan_problem, tmp_path, capsys):
+    code = main(["--problem", "nan", "--bits", "6", "--pop", "4", "--cache", "2",
+                 "--runs", "3", "--seed", "9", "--out", str(tmp_path / "r.csv")])
+    assert code == 2
+    assert f"error: {NAN_PREFIX}" in capsys.readouterr().err
 
 
 def test_ne_cga_default_eta_resolves_per_population(tmp_path):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import event, given
 from hypothesis import strategies as st
 
-from compactga import Chromosome, ProbabilityVector, compete
+import reference_algos as ref
+from compactga import Chromosome, ProbabilityVector, Rng, compete
 
 
 def chrom(text):
@@ -142,10 +143,43 @@ def test_is_converged_sees_a_saturated_gene_reopen():
     assert pv.is_converged()
 
 
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(0, 2 * n), min_size=1, max_size=12))
+    ),
+    st.data(),
+)
+def test_sample_reads_the_current_entries_after_every_step(n_and_nums, data):
+    # small n makes a stale entry 1/n off, so a sample from it shows quickly
+    n, nums = n_and_nums
+    length = len(nums)
+    pv = ProbabilityVector.from_probabilities([k / (2 * n) for k in nums], n)
+    exact = [Fraction(k, 2 * n) for k in nums]
+    bits = st.lists(st.integers(0, 1), min_size=length, max_size=length)
+    steps = data.draw(st.lists(st.one_of(st.tuples(bits, bits), bits.map(lambda b: (b, b))), max_size=20))
+    seeds = st.integers(0, 2**64 - 1)
+    for step in [None, *steps]:  # the first sample follows from_probabilities directly
+        if step is not None:
+            w, lo = step
+            pv.update(Chromosome(np.array(w, dtype=np.uint8)), Chromosome(np.array(lo, dtype=np.uint8)))
+            ref.update(exact, n, w, lo)
+        assert pv.numerators == tuple(int(p * 2 * n) for p in exact)
+        seed = data.draw(seeds)
+        assert tuple(pv.sample(Rng(seed)).bits.tolist()) == ref.sample(exact, Rng(seed))
+
+
+def test_sample_after_update_reads_the_new_entries():
+    pv = ProbabilityVector(1, 1)  # p = 1/2; one step saturates it
+    pv.sample(Rng(0))
+    pv.update(chrom("1"), chrom("0"))
+    assert all(str(pv.sample(Rng(seed))) == "1" for seed in range(20))
+    pv.update(chrom("0"), chrom("1"))
+    pv.update(chrom("0"), chrom("1"))
+    assert all(str(pv.sample(Rng(seed))) == "0" for seed in range(20))
+
+
 def test_converged_entries_are_absorbing():
     pv = ProbabilityVector.from_probabilities([1.0, 0.5], 4)
-    from compactga import Rng
-
     rng = Rng(3)
     for _ in range(50):
         c = pv.sample(rng)
