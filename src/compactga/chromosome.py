@@ -42,7 +42,9 @@ class Rng:
     def uniforms(self, count: int) -> np.ndarray:
         """Next `count` variates of ``Generator(PCG64(seed)).random``, each in [0, 1).
 
-        A request of at least a block, with nothing buffered, is not copied.
+        A request of at least a block, with nothing buffered, is read straight
+        from the generator and returned uncopied. It is not kept as the block,
+        which would hold the whole read alive until the next refill.
         """
         count = _integer("count", count)
         if count < 0:

@@ -124,13 +124,13 @@ def run_cell(
     for r in range(config.runs):
         seed = config.base_seed + r
         evaluator = CachedEvaluator(fn, FitnessCache(capacity, config.policy))
+        where = (f"{config.variant.label} on {config.problem}: bits={config.bits} "
+                 f"pop={pop} capacity={capacity} run={r} seed={seed}")
         try:
             stats = config.variant.run(config.bits, pop, evaluator, Rng(seed))
-        except (IterationLimitError, ValueError) as exc:
-            where = (f"{config.variant.label} on {config.problem}: bits={config.bits} "
-                     f"pop={pop} capacity={capacity} run={r} seed={seed}")
-            if isinstance(exc, IterationLimitError):
-                raise IterationLimitError(f"{where}: {exc}", exc.iterations) from exc
+        except IterationLimitError as exc:
+            raise IterationLimitError(f"{where}: {exc}", exc.iterations) from exc
+        except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from exc
         hits_sum += stats.hits
         misses_sum += stats.misses

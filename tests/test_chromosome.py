@@ -136,6 +136,13 @@ def test_block_reads_equal_one_read_of_the_stream(seed, counts):
         offset += count
 
 
+def test_rng_does_not_keep_a_large_read_it_handed_out():
+    rng = Rng(3)
+    rng.uniforms(_BLOCK)  # use up a whole block, so nothing is buffered
+    big = rng.uniforms(2 * _BLOCK)
+    assert not np.shares_memory(big, rng._block)
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_rng_rejects_out_of_range_seeds(seed):
     with pytest.raises(ValueError):
