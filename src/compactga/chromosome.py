@@ -91,12 +91,27 @@ class Chromosome:
             if bad.any():
                 gene = int(np.argmax(bad))
                 raise ValueError(f"alleles must be 0 or 1, got {arr.tolist()[gene]!r} at gene {gene}")
-        arr = arr.astype(np.uint8)
-        arr.setflags(write=False)
-        self.length: int = arr.shape[0]
-        self.packed: bytes = np.packbits(arr).tobytes()
-        self._bits = arr
+        self._adopt(arr.astype(np.uint8))
+
+    def _adopt(self, bits: np.ndarray) -> None:
+        """Take `bits`, a uint8 array of exact 0/1 that no caller holds, as the read-only alleles."""
+        bits.setflags(write=False)
+        self.length: int = bits.shape[0]
+        self.packed: bytes = np.packbits(bits).tobytes()
+        self._bits = bits
         self._hash = hash((self.length, self.packed))
+
+    @classmethod
+    def _from_fresh_mask(cls, mask: np.ndarray) -> "Chromosome":
+        """Wrap a new one-dimensional bool array that nothing else references.
+
+        Only :meth:`ProbabilityVector.sample` calls this, with the result of
+        its comparison. Such a mask is exact 0/1 and owned by no caller, so
+        the allele check and the copy the constructor makes are skipped.
+        """
+        self = cls.__new__(cls)
+        self._adopt(mask.view(np.uint8))
+        return self
 
     @classmethod
     def from_text(cls, text: str) -> "Chromosome":

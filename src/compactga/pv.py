@@ -4,6 +4,10 @@ Entries are stored as integer numerators over a fixed denominator 2n, so a
 step of 1/n is +/-2 numerator units saturating at 0 and 2n. The convergence
 test (every entry exactly 0 or 1) is then exact for every n; accumulating
 1/n steps in floating point cannot reach 1.0 exactly when n is odd.
+
+The saturating step and the refresh of the float entries are lookups in
+two tables indexed by numerator, built once per vector: a clamp table and a
+quotient table.
 """
 
 from __future__ import annotations
@@ -19,10 +23,22 @@ class ProbabilityVector:
     """Per-gene probability of allele 1, quantized to steps of 1/n.
 
     The integer numerators are the state; :meth:`update` marks the float
-    entries stale and the next :meth:`sample` divides once to refresh them.
+    entries stale and the next :meth:`sample` refreshes them once.
+
+    Two tables, built once in the constructor, drive both: ``_quotient[k]``
+    is the float64 ``k / 2n`` (the correctly rounded quotient, as a divide
+    gives) for k in 0..2n, and ``_clamp[s]`` is ``min(max(s, 0), 2n)`` as an
+    int64 for every sum s in -2..2n+2 that one step can reach; the sums -2
+    and -1 are its last two entries, which numpy's negative indices reach.
+    Together they hold 2n+O(1) entries, built in O(n) time and memory. The
+    run dominates that: moving even one gene from 1/2 to 0 or 1 takes at
+    least n/2 updates.
     """
 
-    __slots__ = ("length", "population_size", "_denom", "_num", "_probs", "_stale", "_witness")
+    __slots__ = (
+        "length", "population_size", "_denom", "_num", "_probs", "_stale", "_witness",
+        "_quotient", "_clamp",
+    )
 
     def __init__(self, length: int, population_size: int):
         length = _integer("length", length)
@@ -36,8 +52,15 @@ class ProbabilityVector:
         self._denom = 2 * population_size
         # every entry starts at 1/2, i.e. numerator n over 2n
         self._num = np.full(length, population_size, dtype=np.int64)
-        self._probs = np.empty(length)
+        self._probs = None  # the first sample fills it
         self._stale = True  # _probs no longer equals _num / _denom
+        denom = self._denom
+        self._quotient = np.arange(denom + 1, dtype=np.float64)
+        self._quotient /= denom
+        # each sum 0..2n+2 clamped at its own index; -2 and -1 index the last two
+        self._clamp = np.arange(denom + 5, dtype=np.int64)
+        self._clamp[denom + 1 :] = denom
+        self._clamp[-2:] = 0
         # a gene last seen strictly between 0 and 1; only a hint, see is_converged
         self._witness = 0
 
@@ -60,7 +83,7 @@ class ProbabilityVector:
                     f"probability {p} at gene {i} is not a multiple of 1/{denom}"
                 )
             pv._num[i] = k
-        return pv  # still stale from __init__, so the first sample divides
+        return pv  # still stale from __init__, so the first sample refreshes
 
     @property
     def numerators(self) -> tuple[int, ...]:
@@ -72,20 +95,24 @@ class ProbabilityVector:
 
         Always consumes exactly ``length`` variates, also for entries pinned
         at 0 or 1, so the draw count never depends on the vector's state.
-        After an update, p is first recomputed as the quotients num / 2n.
+        After an update, p is first refreshed by looking each numerator up
+        in the quotient table. The comparison's fresh mask becomes the
+        chromosome's bits without a copy.
         """
         u = rng.uniforms(self.length)
         if self._stale:
-            np.divide(self._num, self._denom, out=self._probs)
+            self._probs = self._quotient[self._num]
             self._stale = False
-        return Chromosome(u < self._probs)
+        return Chromosome._from_fresh_mask(u < self._probs)
 
     def update(self, winner: Chromosome, loser: Chromosome) -> None:
         """Shift each entry 1/n toward the winner where the two disagree.
 
         Entries saturate at 0 and 1 after every single update, so the order
         of a sequence of updates matters and they cannot be summed first.
-        Only the numerators change; the next :meth:`sample` divides.
+        The saturating step is one lookup of ``num + delta`` in the clamp
+        table. Only the numerators change; the next :meth:`sample` refreshes
+        the float entries.
         """
         if winner.length != self.length or loser.length != self.length:
             raise ValueError("chromosome length does not match vector length")
@@ -95,11 +122,8 @@ class ProbabilityVector:
         delta = np.subtract(winner.bits.view(np.int8), loser.bits.view(np.int8))
         delta += delta
         num = self._num
-        num += delta
-        # maximum + minimum rather than np.clip: at l=100 np.clip spends most
-        # of its time in per-call dtype-limit checks, not in the clamp itself
-        np.maximum(num, 0, out=num)
-        np.minimum(num, self._denom, out=num)
+        num += delta  # in place: only the lookup below allocates
+        self._num = self._clamp[num]
         self._stale = True
 
     def is_converged(self) -> bool:

@@ -168,6 +168,83 @@ def test_sample_reads_the_current_entries_after_every_step(n_and_nums, data):
         assert tuple(pv.sample(Rng(seed)).bits.tolist()) == ref.sample(exact, Rng(seed))
 
 
+class _BoundaryUniforms:
+    """Stands in for an Rng: hands out each gene's exact quotient k/2n, or the double just below it."""
+
+    def __init__(self, probs, below):
+        self._u = [float(p) for p in probs]
+        if below:
+            self._u = [np.nextafter(u, 0.0) for u in self._u]
+
+    def uniforms(self, count):
+        assert count == len(self._u)
+        return np.array(self._u)
+
+
+# per step, each gene moves up (+1), down (-1) or stays (0): the first step
+# sends each gene toward its nearer edge before a clamp can change its parity,
+# four steps down then push the genes near 0 past it, and eight up those near 2n
+_EDGE_STEPS = (
+    [[-1, -1, -1, 0, +1, +1, +1]]
+    + [[-1] * 7] * 4
+    + [[+1] * 7] * 8
+    + [[+1, -1, 0, +1, -1, 0, +1], [0] * 7, [-1, +1, -1, 0, +1, -1, 0]]
+)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 99, 100, 12_345, 10**6])
+def test_table_lookups_are_exact_at_the_edges_for_small_and_large_n(n):
+    # numerators 1 and 2n-1 are reachable from 1/2 only for odd n; starting
+    # there at every n hits both parities of the clamp table's edges
+    nums = [0, 1, 2, n, 2 * n - 2, 2 * n - 1, 2 * n]
+    pv = ProbabilityVector.from_probabilities([k / (2 * n) for k in nums], n)
+    assert pv.numerators == tuple(nums)
+    for step, moves in enumerate(_EDGE_STEPS):
+        w = np.array([d == +1 for d in moves], dtype=np.uint8)
+        lo = np.array([d == -1 for d in moves], dtype=np.uint8)
+        pv.update(Chromosome(w), Chromosome(lo))
+        nums = [min(max(k + 2 * d, 0), 2 * n) for k, d in zip(nums, moves)]
+        assert pv.numerators == tuple(nums)
+        exact = [Fraction(k, 2 * n) for k in nums]
+        seed = 1000 * n + step
+        assert tuple(pv.sample(Rng(seed)).bits.tolist()) == ref.sample(exact, Rng(seed))
+        for below in (False, True):
+            boundary = _BoundaryUniforms(exact, below)
+            assert tuple(pv.sample(boundary).bits.tolist()) == ref.sample(exact, boundary)
+
+
+class _RecordingRng(Rng):
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.handed_out = []
+
+    def uniforms(self, count):
+        u = super().uniforms(count)
+        self.handed_out.append(u)
+        return u
+
+
+def test_sampled_chromosomes_own_their_bits():
+    pv = ProbabilityVector(20, 3)
+    rng = _RecordingRng(11)
+    samples = []
+    for i in range(40):
+        if i % 3 == 0:
+            pv.update(chrom("10" * 10), chrom("01" * 10))
+        c = pv.sample(rng)
+        assert not c.bits.flags.writeable
+        with pytest.raises(ValueError):
+            c.bits[0] = 1 - c.bits[0]
+        if samples:
+            assert not np.shares_memory(c.bits, samples[-1][0].bits)
+        assert not any(np.shares_memory(c.bits, u) for u in rng.handed_out)
+        copy = Chromosome(c.bits.copy())
+        assert c == copy and c.packed == copy.packed and hash(c) == hash(copy)
+        samples.append((c, str(c)))
+    # later samples and updates never changed an earlier chromosome
+    assert all(str(c) == text for c, text in samples)
+
+
 def test_sample_after_update_reads_the_new_entries():
     pv = ProbabilityVector(1, 1)  # p = 1/2; one step saturates it
     pv.sample(Rng(0))
