@@ -16,7 +16,6 @@ from .chromosome import Chromosome, Rng
 from .harness import (
     CellResult,
     ExperimentConfig,
-    SweepResult,
     run_cell,
     sweep,
     write_csv,
@@ -40,7 +39,6 @@ __all__ = [
     "Rng",
     "CellResult",
     "ExperimentConfig",
-    "SweepResult",
     "run_cell",
     "sweep",
     "write_csv",

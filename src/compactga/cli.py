@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from typing import Optional, Sequence
 
 from .algorithms import VARIANT_KINDS, VARIANT_PARAMETERS, IterationLimitError, Variant
-from .harness import ExperimentConfig, sweep, write_csv, write_per_run_csv
+from .harness import ExperimentConfig, sweep, write_csv
 from .problems import FITNESS_FUNCTIONS
 
 DEFAULT_BITS = {"onemax": 100, "binint": 30}
@@ -36,8 +37,8 @@ def parse_int_list(text: str) -> tuple[int, ...]:
 def load_config_file(path: str) -> dict[str, str]:
     """Read key=value lines; blank lines and '#' comments are ignored.
 
-    Raises ValueError on a line without '=' and on a key that is not one of
-    ``CONFIG_KEYS``.
+    Raises ValueError on a line without '=', on a key given twice and on a
+    key that is not one of ``CONFIG_KEYS``.
     """
     values: dict[str, str] = {}
     with open(path) as fh:
@@ -48,7 +49,10 @@ def load_config_file(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.rstrip()!r}")
             key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
+            key = key.strip()
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: duplicate config key {key!r}")
+            values[key] = value.strip()
     unknown = set(values) - set(CONFIG_KEYS)
     if unknown:
         raise ValueError(f"{path}: unknown config keys: {', '.join(sorted(unknown))}")
@@ -95,8 +99,11 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     """The sweep described by parsed flags.
 
     Every given s, m or eta goes to the variant, which raises ValueError for
-    one its kind does not take; cga-t and cga-rr default to size 4.
+    one its kind does not take; cga-t and cga-rr default to size 4. Without
+    ``--bits``, a problem with no ``DEFAULT_BITS`` entry raises ValueError.
     """
+    if args.bits is None and args.problem not in DEFAULT_BITS:
+        raise ValueError(f"problem {args.problem!r} has no default length; give --bits")
     params = {key: getattr(args, key) for key in ("s", "m", "eta") if getattr(args, key) is not None}
     name = VARIANT_PARAMETERS.get(args.algo, (None,))[0]
     if name in ("s", "m"):
@@ -124,14 +131,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             args = parser.parse_args(file_args + argv)
         config = config_from_args(args)
         per_run = [] if args.trace else None
-        result = sweep(config, per_run)
-        write_csv(result, args.out)
+        cells = sweep(config, per_run)
+        write_csv([asdict(cell) for cell in cells], args.out)
         if args.trace:
-            write_per_run_csv(per_run, args.trace)
+            write_csv(per_run, args.trace)
     except (ValueError, OSError, IterationLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(f"wrote {args.out} ({len(result.cells)} cells, {config.runs} runs each)")
+    print(f"wrote {args.out} ({len(cells)} cells, {config.runs} runs each)")
     if args.trace:
         print(f"wrote {args.trace} ({len(per_run)} replicate rows)")
     return 0

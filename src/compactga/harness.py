@@ -15,8 +15,8 @@ comparison.
 from __future__ import annotations
 
 import csv
-from dataclasses import asdict, dataclass, field, fields
-from typing import Iterable, Optional
+from dataclasses import dataclass, fields
+from typing import Optional
 
 from . import metrics
 from .algorithms import IterationLimitError, RunStats, Variant
@@ -92,18 +92,8 @@ class CellResult:
     reduction_pct: float
 
 
-CSV_COLUMNS = [f.name for f in fields(CellResult)]
-
 # RunStats fields that only the trajectory oracles read; a per-run row holds the others
 _TRAJECTORY_FIELDS = ("final_pv", "updates")
-
-
-@dataclass
-class SweepResult:
-    """All cell aggregates of one sweep, in (pop, capacity) order."""
-
-    config: ExperimentConfig
-    cells: list[CellResult] = field(default_factory=list)
 
 
 def run_cell(
@@ -160,38 +150,24 @@ def run_cell(
     )
 
 
-def sweep(config: ExperimentConfig, per_run: Optional[list[dict]] = None) -> SweepResult:
-    """Run every (population, capacity) cell of the sweep."""
-    result = SweepResult(config)
-    for pop in config.n_values:
-        for capacity in config.capacities:
-            result.cells.append(run_cell(config, pop, capacity, per_run))
-    return result
+def sweep(config: ExperimentConfig, per_run: Optional[list[dict]] = None) -> list[CellResult]:
+    """Run every cell of the sweep and return the cells in (pop, capacity) order.
+
+    ``ExperimentConfig`` sorts and deduplicates both axes, so the loop order is that order.
+    """
+    return [run_cell(config, pop, capacity, per_run)
+            for pop in config.n_values for capacity in config.capacities]
 
 
-def _write_rows(path: str, columns: list[str], rows: Iterable[dict]) -> None:
-    """Write a header of `columns`, then one line per row; a key outside `columns` raises."""
+def write_csv(rows: list[dict], path: str) -> None:
+    """Write a header of the first row's keys, then each row with floats as ``.6f``.
+
+    A key that the first row lacks raises ValueError. The results CSV is
+    ``[asdict(c) for c in sweep(config)]``; the per-run CSV is the rows that
+    ``sweep(config, per_run)`` collects.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns)
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]) if rows else [])
         writer.writeheader()
-        writer.writerows(rows)
-
-
-def write_csv(result: SweepResult, path: str) -> None:
-    """Write one header plus one row per cell, in (pop, capacity) order.
-
-    A row is the cell's fields, every float with six fractional digits.
-    """
-    rows = (
-        {key: f"{value:.6f}" if isinstance(value, float) else value for key, value in asdict(cell).items()}
-        for cell in sorted(result.cells, key=lambda c: (c.pop, c.capacity))
-    )
-    _write_rows(path, CSV_COLUMNS, rows)
-
-
-def write_per_run_csv(rows: list[dict], path: str) -> None:
-    """Write the per-replicate rows collected by ``sweep(..., per_run=...)``.
-
-    The columns are the rows' keys, in ``run_cell``'s order.
-    """
-    _write_rows(path, list(rows[0]) if rows else [], rows)
+        for row in rows:
+            writer.writerow({k: f"{v:.6f}" if isinstance(v, float) else v for k, v in row.items()})

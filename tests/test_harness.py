@@ -2,11 +2,13 @@ import csv
 import os
 import subprocess
 import sys
+from dataclasses import asdict, fields
 
 import pytest
 
 import compactga
 from compactga import (
+    CellResult,
     ExperimentConfig,
     Variant,
     run_cell,
@@ -14,7 +16,6 @@ from compactga import (
     write_csv,
 )
 from compactga.cli import load_config_file, main, parse_int_list
-from compactga.harness import CSV_COLUMNS
 from compactga.problems import FITNESS_FUNCTIONS
 from test_golden_csv import GOLDEN, sha256
 
@@ -83,19 +84,19 @@ def test_capacity_zero_cell_has_speedup_exactly_one():
 
 def test_cells_differing_only_in_capacity_share_trajectories():
     config = small_config(capacities=(0, 2, 16), runs=5)
-    result = sweep(config)
-    lookups = {cell.capacity: cell.neval_nocache for cell in result.cells}
-    iters = {cell.capacity: cell.iterations_mean for cell in result.cells}
+    cells = sweep(config)
+    lookups = {cell.capacity: cell.neval_nocache for cell in cells}
+    iters = {cell.capacity: cell.iterations_mean for cell in cells}
     assert len(set(lookups.values())) == 1
     assert len(set(iters.values())) == 1
 
 
 def test_sweep_runs_every_cell_and_averages():
-    config = small_config(n_values=(4, 8, 12), capacities=(1, 5), runs=2)
-    result = sweep(config)
-    assert [(c.pop, c.capacity) for c in result.cells] == [
-        (4, 1), (4, 5), (8, 1), (8, 5), (12, 1), (12, 5)
-    ]
+    expected = [(4, 1), (4, 5), (8, 1), (8, 5), (12, 1), (12, 5)]
+    # the config's axis normalisation alone puts unsorted, duplicated axes in (pop, capacity) order
+    for n_values, capacities in [((4, 8, 12), (1, 5)), ((12, 4, 8, 4), (5, 1))]:
+        config = small_config(n_values=n_values, capacities=capacities, runs=2)
+        assert [(c.pop, c.capacity) for c in sweep(config)] == expected
 
 
 def test_per_run_rows_use_base_seed_plus_run_index():
@@ -107,13 +108,13 @@ def test_per_run_rows_use_base_seed_plus_run_index():
 
 def test_write_csv_single_cell(tmp_path):
     config = small_config()
-    result = sweep(config)
     path = tmp_path / "out.csv"
-    write_csv(result, str(path))
+    write_csv([asdict(c) for c in sweep(config)], str(path))
     lines = path.read_text().splitlines()
     assert len(lines) == 2
-    assert lines[0] == ",".join(CSV_COLUMNS)
-    row = dict(zip(CSV_COLUMNS, lines[1].split(",")))
+    columns = [f.name for f in fields(CellResult)]
+    assert lines[0] == ",".join(columns)
+    row = dict(zip(columns, lines[1].split(",")))
     assert row["algo"] == "cga"
     assert row["problem"] == "onemax"
     assert row["policy"] == "fifo"
@@ -122,13 +123,13 @@ def test_write_csv_single_cell(tmp_path):
 
 def test_csv_rows_are_internally_consistent(tmp_path):
     config = small_config(n_values=(6, 10), capacities=(0, 1, 8), runs=4)
-    result = sweep(config)
-    for cell in result.cells:
+    cells = sweep(config)
+    for cell in cells:
         assert abs(cell.speedup - (cell.hits_sum + cell.misses_sum) / cell.misses_sum) < 1e-9
         assert abs(cell.reduction_pct - 100 * cell.hits_sum / (cell.hits_sum + cell.misses_sum)) < 1e-9
         assert cell.hitratio_pct == cell.reduction_pct
     path = tmp_path / "out.csv"
-    write_csv(result, str(path))
+    write_csv([asdict(c) for c in cells], str(path))
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 6
@@ -146,11 +147,35 @@ def test_csv_rows_are_internally_consistent(tmp_path):
 def test_csv_is_a_pure_function_of_the_config(tmp_path):
     config = small_config(n_values=(4, 8), capacities=(1, 3), runs=3)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_csv(sweep(config), str(a))
-    write_csv(sweep(config), str(b))
+    write_csv([asdict(c) for c in sweep(config)], str(a))
+    write_csv([asdict(c) for c in sweep(config)], str(b))
     assert a.read_bytes() == b.read_bytes()
-    write_csv(sweep(small_config(n_values=(4, 8), capacities=(1, 3), runs=3, base_seed=10)), str(b))
+    other = small_config(n_values=(4, 8), capacities=(1, 3), runs=3, base_seed=10)
+    write_csv([asdict(c) for c in sweep(other)], str(b))
     assert a.read_bytes() != b.read_bytes()
+
+
+def test_write_csv_keeps_the_first_rows_key_order_and_prints_floats_with_six_digits(tmp_path):
+    path = tmp_path / "runs.csv"
+    rows = [{"seed": 3, "run": 0, "solution_fitness": 0.1, "solution": "0101"},
+            {"run": 1, "solution": "1111", "seed": 4, "solution_fitness": 2.0}]
+    write_csv(rows, str(path))
+    assert path.read_text().splitlines() == [
+        "seed,run,solution_fitness,solution",
+        "3,0,0.100000,0101",
+        "4,1,2.000000,1111",
+    ]
+
+
+def test_cli_asks_for_bits_when_a_problem_has_no_default_length(monkeypatch, tmp_path, capsys):
+    monkeypatch.setitem(FITNESS_FUNCTIONS, "zeros", lambda c: 0)
+    out = tmp_path / "r.csv"
+    argv = ["--problem", "zeros", "--pop", "4", "--cache", "1", "--runs", "1", "--out", str(out)]
+    assert main(argv) == 2
+    assert "problem 'zeros' has no default length; give --bits" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(argv + ["--bits", "6"]) == 0
+    assert out.exists()
 
 
 def test_parse_int_list():
@@ -168,6 +193,10 @@ def test_load_config_file(tmp_path):
     bad.write_text("runs 2\n")
     with pytest.raises(ValueError):
         load_config_file(str(bad))
+    bad.write_text("pop=4\nruns=2\npop = 8\n")
+    with pytest.raises(ValueError) as err:
+        load_config_file(str(bad))
+    assert str(err.value) == f"{bad}:3: duplicate config key 'pop'"
 
 
 def test_cli_rejects_unknown_config_keys(tmp_path, capsys):
