@@ -29,6 +29,7 @@ class Rng:
     identical runs. The stream is read ``_BLOCK`` variates at a time, which
     saves a generator call per sampled chromosome and changes no draw; each
     read allocates a new block, so a handed-out array is never overwritten.
+    The ``Rng`` keeps its last read, however large, until the next refill.
     """
 
     def __init__(self, seed: int):
@@ -40,12 +41,7 @@ class Rng:
         self._pos = 0  # variates of _block already handed out
 
     def uniforms(self, count: int) -> np.ndarray:
-        """Next `count` variates of ``Generator(PCG64(seed)).random``, each in [0, 1).
-
-        A request of at least a block, with nothing buffered, is read straight
-        from the generator and returned uncopied. It is not kept as the block,
-        which would hold the whole read alive until the next refill.
-        """
+        """Next `count` variates of ``Generator(PCG64(seed)).random``, each in [0, 1)."""
         count = _integer("count", count)
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
@@ -54,8 +50,6 @@ class Rng:
         if end <= len(block):
             self._pos = end
             return block[pos:end]
-        if pos == len(block) and count >= _BLOCK:
-            return self._gen.random(count)
         # what is left of the block, then the start of a new one
         need = end - len(block)
         self._block, self._pos = self._gen.random(max(need, _BLOCK)), need
@@ -71,7 +65,8 @@ class Chromosome:
 
     Bits are packed eight per byte (gene 0 in the most significant bit of
     byte 0), so equality, hashing and popcounts touch l/8 bytes rather than
-    l alleles. The unpacked array is kept alongside for vector arithmetic.
+    l alleles. The unpacked array is kept alongside for vector arithmetic:
+    ``bits`` is the read-only uint8 array of alleles, gene 0 first.
 
     The constructor takes any one-dimensional sequence of exact 0/1 values
     (a bool array needs no check) and stores its own read-only uint8 copy,
@@ -79,7 +74,7 @@ class Chromosome:
     changes a chromosome.
     """
 
-    __slots__ = ("packed", "length", "_bits", "_hash")
+    __slots__ = ("packed", "length", "bits", "_hash")
 
     def __init__(self, bits: np.ndarray):
         arr = np.asarray(bits)
@@ -98,8 +93,8 @@ class Chromosome:
         bits.setflags(write=False)
         self.length: int = bits.shape[0]
         self.packed: bytes = np.packbits(bits).tobytes()
-        self._bits = bits
-        self._hash = hash((self.length, self.packed))
+        self.bits: np.ndarray = bits
+        self._hash = hash(self.packed)  # "1" and "10" collide; __eq__ compares length
 
     @classmethod
     def _from_fresh_mask(cls, mask: np.ndarray) -> "Chromosome":
@@ -119,11 +114,6 @@ class Chromosome:
         if not text or any(ch not in "01" for ch in text):
             raise ValueError(f"not a bit string: {text!r}")
         return cls(np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0"))
-
-    @property
-    def bits(self) -> np.ndarray:
-        """Read-only uint8 array of alleles, gene 0 first."""
-        return self._bits
 
     def ones(self) -> int:
         """Number of 1-alleles."""
@@ -146,7 +136,7 @@ class Chromosome:
         return self.length
 
     def __str__(self) -> str:
-        return "".join("1" if b else "0" for b in self._bits.tolist())
+        return "".join("1" if b else "0" for b in self.bits.tolist())
 
     def __repr__(self) -> str:
         return f"Chromosome({str(self)!r})"

@@ -10,6 +10,7 @@ overrides it.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import asdict
 from typing import Optional, Sequence
@@ -130,6 +131,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             file_args = [f"--{key}={value}" for key, value in load_config_file(args.config).items()]
             args = parser.parse_args(file_args + argv)
         config = config_from_args(args)
+        if args.trace and os.path.abspath(args.trace) == os.path.abspath(args.out):
+            raise ValueError(f"--out and --trace name the same file: {args.out}")
         per_run = [] if args.trace else None
         cells = sweep(config, per_run)
         write_csv([asdict(cell) for cell in cells], args.out)

@@ -107,10 +107,7 @@ def run_cell(
     A replicate's IterationLimitError or ValueError is re-raised with the cell and seed in front.
     """
     fn = fitness_function(config.problem)
-    hits_sum = 0
-    misses_sum = 0
-    iterations_sum = 0
-    speedups = []
+    runs = []
     for r in range(config.runs):
         seed = config.base_seed + r
         evaluator = CachedEvaluator(fn, FitnessCache(capacity, config.policy))
@@ -122,14 +119,13 @@ def run_cell(
             raise IterationLimitError(f"{where}: {exc}", exc.iterations) from exc
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from exc
-        hits_sum += stats.hits
-        misses_sum += stats.misses
-        iterations_sum += stats.iterations
-        speedups.append(metrics.speedup(stats.hits + stats.misses, stats.misses))
+        runs.append(stats)
         if per_run is not None:
             per_run.append({"pop": pop, "capacity": capacity, "run": r, "seed": seed,
                             **{f.name: getattr(stats, f.name) for f in fields(RunStats)
                                if f.name not in _TRAJECTORY_FIELDS}})
+    hits = sum(s.hits for s in runs)
+    misses = sum(s.misses for s in runs)
     return CellResult(
         algo=config.variant.label,
         problem=config.problem,
@@ -138,15 +134,15 @@ def run_cell(
         policy=config.policy.value,
         capacity=capacity,
         runs=config.runs,
-        iterations_mean=iterations_sum / config.runs,
-        hits_sum=hits_sum,
-        misses_sum=misses_sum,
-        neval_nocache=hits_sum + misses_sum,
-        neval_cache=misses_sum,
-        speedup=metrics.speedup(hits_sum + misses_sum, misses_sum),
-        speedup_mean_of_runs=sum(speedups) / len(speedups),
-        hitratio_pct=100.0 * metrics.hitratio(hits_sum, misses_sum),
-        reduction_pct=metrics.reduction_pct(hits_sum, misses_sum),
+        iterations_mean=sum(s.iterations for s in runs) / config.runs,
+        hits_sum=hits,
+        misses_sum=misses,
+        neval_nocache=hits + misses,
+        neval_cache=misses,
+        speedup=metrics.speedup(hits + misses, misses),
+        speedup_mean_of_runs=sum(metrics.speedup(s.hits + s.misses, s.misses) for s in runs) / config.runs,
+        hitratio_pct=100.0 * metrics.hitratio(hits, misses),
+        reduction_pct=metrics.reduction_pct(hits, misses),
     )
 
 

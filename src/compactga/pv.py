@@ -22,8 +22,8 @@ from .chromosome import Chromosome, Rng, _integer
 class ProbabilityVector:
     """Per-gene probability of allele 1, quantized to steps of 1/n.
 
-    The integer numerators are the state; :meth:`update` marks the float
-    entries stale and the next :meth:`sample` refreshes them once.
+    The integer numerators are the state; :meth:`update` sets ``_probs`` to
+    None and the next :meth:`sample` refreshes the float entries once.
 
     Two tables, built once in the constructor, drive both: ``_quotient[k]``
     is the float64 ``k / 2n`` (the correctly rounded quotient, as a divide
@@ -36,7 +36,7 @@ class ProbabilityVector:
     """
 
     __slots__ = (
-        "length", "population_size", "_denom", "_num", "_probs", "_stale", "_witness",
+        "length", "population_size", "_denom", "_num", "_probs", "_witness",
         "_quotient", "_clamp",
     )
 
@@ -52,8 +52,7 @@ class ProbabilityVector:
         self._denom = 2 * population_size
         # every entry starts at 1/2, i.e. numerator n over 2n
         self._num = np.full(length, population_size, dtype=np.int64)
-        self._probs = None  # the first sample fills it
-        self._stale = True  # _probs no longer equals _num / _denom
+        self._probs = None  # None: stale, the next sample fills it from _num
         denom = self._denom
         self._quotient = np.arange(denom + 1, dtype=np.float64)
         self._quotient /= denom
@@ -83,7 +82,7 @@ class ProbabilityVector:
                     f"probability {p} at gene {i} is not a multiple of 1/{denom}"
                 )
             pv._num[i] = k
-        return pv  # still stale from __init__, so the first sample refreshes
+        return pv  # _probs is still None from __init__, so the first sample refreshes
 
     @property
     def numerators(self) -> tuple[int, ...]:
@@ -100,9 +99,8 @@ class ProbabilityVector:
         chromosome's bits without a copy.
         """
         u = rng.uniforms(self.length)
-        if self._stale:
+        if self._probs is None:
             self._probs = self._quotient[self._num]
-            self._stale = False
         return Chromosome._from_fresh_mask(u < self._probs)
 
     def update(self, winner: Chromosome, loser: Chromosome) -> None:
@@ -124,7 +122,7 @@ class ProbabilityVector:
         num = self._num
         num += delta  # in place: only the lookup below allocates
         self._num = self._clamp[num]
-        self._stale = True
+        self._probs = None
 
     def is_converged(self) -> bool:
         """True iff every entry is exactly 0 or 1.

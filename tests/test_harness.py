@@ -106,6 +106,19 @@ def test_per_run_rows_use_base_seed_plus_run_index():
     assert [r["run"] for r in rows] == [0, 1, 2, 3]
 
 
+@pytest.mark.parametrize("capacity", [0, 4])
+def test_cell_is_the_aggregate_of_its_own_per_run_rows(capacity):
+    rows = []
+    # four runs, so iterations_mean * runs is exact in floating point
+    cell = run_cell(small_config(runs=4, capacities=(capacity,)), 8, capacity, per_run=rows)
+    assert len(rows) == cell.runs == 4
+    assert (cell.hits_sum > 0) == (capacity > 0)
+    assert cell.hits_sum == sum(r["hits"] for r in rows)
+    assert cell.misses_sum == sum(r["misses"] for r in rows)
+    assert cell.iterations_mean * cell.runs == sum(r["iterations"] for r in rows)
+    assert cell.speedup_mean_of_runs == sum((r["hits"] + r["misses"]) / r["misses"] for r in rows) / cell.runs
+
+
 def test_write_csv_single_cell(tmp_path):
     config = small_config()
     path = tmp_path / "out.csv"
@@ -333,6 +346,16 @@ def test_cli_trace_writes_per_run_detail(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 3
     assert [r["seed"] for r in rows] == ["5", "6", "7"]
+
+
+@pytest.mark.parametrize("trace", ["same.csv", "./same.csv", "{tmp}/same.csv"])
+def test_cli_rejects_out_and_trace_naming_one_file(tmp_path, monkeypatch, capsys, trace):
+    monkeypatch.chdir(tmp_path)
+    code = main(["--pop", "4", "--bits", "8", "--runs", "2", "--cache", "0,2",
+                 "--out", "same.csv", "--trace", trace.format(tmp=tmp_path)])
+    assert code == 2
+    assert "error: --out and --trace name the same file: same.csv" in capsys.readouterr().err
+    assert not (tmp_path / "same.csv").exists()
 
 
 def test_cli_reports_errors(tmp_path, capsys):
