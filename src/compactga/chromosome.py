@@ -71,7 +71,9 @@ class Chromosome:
     The constructor takes any one-dimensional sequence of exact 0/1 values
     (a bool array needs no check) and stores its own read-only uint8 copy,
     so writing to the caller's array, or to the base of a view, never
-    changes a chromosome.
+    changes a chromosome. It is the only way to build one, sampled
+    chromosomes included, so the benchmark's timing of ``__init__`` covers
+    the packing and hashing of every chromosome a run makes.
     """
 
     __slots__ = ("packed", "length", "bits", "_hash")
@@ -86,27 +88,12 @@ class Chromosome:
             if bad.any():
                 gene = int(np.argmax(bad))
                 raise ValueError(f"alleles must be 0 or 1, got {arr.tolist()[gene]!r} at gene {gene}")
-        self._adopt(arr.astype(np.uint8))
-
-    def _adopt(self, bits: np.ndarray) -> None:
-        """Take `bits`, a uint8 array of exact 0/1 that no caller holds, as the read-only alleles."""
+        bits = arr.astype(np.uint8)
         bits.setflags(write=False)
         self.length: int = bits.shape[0]
         self.packed: bytes = np.packbits(bits).tobytes()
         self.bits: np.ndarray = bits
         self._hash = hash(self.packed)  # "1" and "10" collide; __eq__ compares length
-
-    @classmethod
-    def _from_fresh_mask(cls, mask: np.ndarray) -> "Chromosome":
-        """Wrap a new one-dimensional bool array that nothing else references.
-
-        Only :meth:`ProbabilityVector.sample` calls this, with the result of
-        its comparison. Such a mask is exact 0/1 and owned by no caller, so
-        the allele check and the copy the constructor makes are skipped.
-        """
-        self = cls.__new__(cls)
-        self._adopt(mask.view(np.uint8))
-        return self
 
     @classmethod
     def from_text(cls, text: str) -> "Chromosome":

@@ -10,6 +10,7 @@ overrides it.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 from dataclasses import asdict
@@ -131,8 +132,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             file_args = [f"--{key}={value}" for key, value in load_config_file(args.config).items()]
             args = parser.parse_args(file_args + argv)
         config = config_from_args(args)
-        if args.trace and os.path.abspath(args.trace) == os.path.abspath(args.out):
-            raise ValueError(f"--out and --trace name the same file: {args.out}")
+        # after the merge, so a file's own out= counts too
+        given = [(f"--{key}", getattr(args, key)) for key in ("config", "out", "trace") if getattr(args, key)]
+        for (flag, path), (other, other_path) in itertools.combinations(given, 2):
+            if os.path.abspath(path) == os.path.abspath(other_path):
+                raise ValueError(f"{flag} and {other} name the same file: {path}")
         per_run = [] if args.trace else None
         cells = sweep(config, per_run)
         write_csv([asdict(cell) for cell in cells], args.out)

@@ -95,13 +95,12 @@ class ProbabilityVector:
         Always consumes exactly ``length`` variates, also for entries pinned
         at 0 or 1, so the draw count never depends on the vector's state.
         After an update, p is first refreshed by looking each numerator up
-        in the quotient table. The comparison's fresh mask becomes the
-        chromosome's bits without a copy.
+        in the quotient table.
         """
         u = rng.uniforms(self.length)
         if self._probs is None:
             self._probs = self._quotient[self._num]
-        return Chromosome._from_fresh_mask(u < self._probs)
+        return Chromosome(u < self._probs)
 
     def update(self, winner: Chromosome, loser: Chromosome) -> None:
         """Shift each entry 1/n toward the winner where the two disagree.

@@ -358,6 +358,28 @@ def test_cli_rejects_out_and_trace_naming_one_file(tmp_path, monkeypatch, capsys
     assert not (tmp_path / "same.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "name,extra,argv,other",
+    [
+        ("run.cfg", "", ["--out", "run.cfg"], "--out"),
+        ("run.cfg", "", ["--trace", "./run.cfg"], "--trace"),
+        ("results.csv", "", [], "--out"),  # the default --out
+        ("self.cfg", "out=self.cfg\n", [], "--out"),  # named by the file itself
+    ],
+    ids=["out", "trace", "default-out", "out-in-file"],
+)
+def test_cli_never_overwrites_its_config_file(tmp_path, monkeypatch, capsys, name, extra, argv, other):
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / name
+    config.write_text("bits=8\npop=4\ncache=0,2\nruns=2\n" + extra)
+    before = config.read_bytes()
+    code = main(["--config", name] + argv)
+    assert code == 2
+    assert f"error: --config and {other} name the same file: {name}" in capsys.readouterr().err
+    assert config.read_bytes() == before
+    assert os.listdir(tmp_path) == [name]
+
+
 def test_cli_reports_errors(tmp_path, capsys):
     code = main(["--bits", "0", "--out", str(tmp_path / "r.csv")])
     assert code == 2

@@ -245,6 +245,22 @@ def test_sampled_chromosomes_own_their_bits():
     assert all(str(c) == text for c, text in samples)
 
 
+def test_every_sample_is_built_by_the_constructor(monkeypatch):
+    # the benchmark's chromosome.init.* metrics time Chromosome.__init__
+    calls = []
+    init = Chromosome.__init__
+
+    def counting_init(self, bits):
+        calls.append(1)
+        init(self, bits)
+
+    monkeypatch.setattr(Chromosome, "__init__", counting_init)
+    pv, rng = ProbabilityVector(12, 3), Rng(5)
+    for _ in range(20):
+        pv.update(*compete(pv.sample(rng), 0, pv.sample(rng), 1))
+    assert len(calls) == 40
+
+
 def test_sample_after_update_reads_the_new_entries():
     pv = ProbabilityVector(1, 1)  # p = 1/2; one step saturates it
     pv.sample(Rng(0))
