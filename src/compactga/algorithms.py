@@ -221,7 +221,8 @@ class Variant:
         if population_size < 2:
             raise ValueError(f"population size must be at least 2, got {population_size}")
         pv = ProbabilityVector(length, population_size)
-        hits0, misses0 = evaluator.cache.counters()
+        cache = evaluator.cache
+        hits0, misses0 = cache.hits, cache.misses
         updates = [] if trace else None
         if self.kind in ("pe-cga", "ne-cga"):
             eta = None if self.kind == "pe-cga" else self.eta or default_inheritance_length(population_size)
@@ -230,12 +231,12 @@ class Variant:
             pairs = _tournament_pairs if self.kind == "cga-t" else _round_robin_pairs
             iterations = _sampled_loop(pv, self.s or self.m or 2, pairs, evaluator, rng, updates)
         solution = pv.decode()
-        hits, misses = evaluator.cache.counters()
+        misses = cache.misses - misses0
         return RunStats(
             iterations=iterations,
-            hits=hits - hits0,
-            misses=misses - misses0,
-            evaluations=misses - misses0,
+            hits=cache.hits - hits0,
+            misses=misses,
+            evaluations=misses,
             solution=solution,
             solution_fitness=evaluator.fitness_fn(solution),
             final_pv=pv.numerators,

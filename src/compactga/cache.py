@@ -80,10 +80,6 @@ class FitnessCache:
         key, _ = self._entries.popitem(last=False)
         return key
 
-    def counters(self) -> tuple[int, int]:
-        """(hits, misses) so far."""
-        return self.hits, self.misses
-
     def dump(self) -> str:
         """One '<bits>,<fitness>' line per entry, front to rear.
 
@@ -93,11 +89,6 @@ class FitnessCache:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def check_consistency(self) -> None:
-        """Verify the entry count stays within capacity (called by the naive-model oracle)."""
-        if len(self) > self.capacity:
-            raise AssertionError("entry count exceeds capacity")
 
 
 class CachedEvaluator:
@@ -113,14 +104,6 @@ class CachedEvaluator:
     def __init__(self, fitness_fn, cache: FitnessCache):
         self.fitness_fn = fitness_fn
         self.cache = cache
-
-    @classmethod
-    def uncached(cls, fitness_fn):
-        """Evaluator with a zero-capacity cache: every lookup evaluates.
-
-        The trajectory oracles run their cache-free baseline through it.
-        """
-        return cls(fitness_fn, FitnessCache(0))
 
     def _evaluate(self, chromosome: Chromosome):
         value = self.fitness_fn(chromosome)

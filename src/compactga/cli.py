@@ -18,9 +18,8 @@ from typing import Optional, Sequence
 
 from .algorithms import VARIANT_KINDS, VARIANT_PARAMETERS, IterationLimitError, Variant
 from .harness import ExperimentConfig, sweep, write_csv
-from .problems import FITNESS_FUNCTIONS
+from .problems import DEFAULT_BITS, FITNESS_FUNCTIONS
 
-DEFAULT_BITS = {"onemax": 100, "binint": 30}
 # s for cga-t and m for cga-rr when the flag is not given
 DEFAULT_GROUP_SIZE = 4
 
@@ -76,8 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="elite survival limit, ne-cga only (default ceil(pop/10))")
     parser.add_argument("--problem", choices=list(FITNESS_FUNCTIONS), default="onemax",
                         help="fitness function (default %(default)s)")
-    parser.add_argument("--bits", type=int,
-                        help="chromosome length (default 100 for onemax, 30 for binint)")
+    defaults = ", ".join(f"{bits} for {name}" for name, bits in DEFAULT_BITS.items())
+    parser.add_argument("--bits", type=int, help=f"chromosome length (default {defaults})")
     parser.add_argument("--pop", type=parse_int_list, metavar="LIST", default="100",
                         help="comma-separated population sizes (default %(default)s)")
     parser.add_argument("--cache", type=parse_int_list, metavar="LIST", default="20",
@@ -133,10 +132,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             args = parser.parse_args(file_args + argv)
         config = config_from_args(args)
         # after the merge, so a file's own out= counts too
-        given = [(f"--{key}", getattr(args, key)) for key in ("config", "out", "trace") if getattr(args, key)]
+        given = [(f"--{key}", getattr(args, key)) for key in ("config", "out", "trace")
+                 if getattr(args, key) is not None]
         for (flag, path), (other, other_path) in itertools.combinations(given, 2):
             if os.path.abspath(path) == os.path.abspath(other_path):
                 raise ValueError(f"{flag} and {other} name the same file: {path}")
+        # found here, not when the CSV is opened after the whole sweep
+        for flag, path in given:
+            if flag == "--config":
+                continue
+            if os.path.isdir(os.path.abspath(path)):  # "" too: it names the working directory
+                raise ValueError(f"{flag} names a directory: {path!r}")
+            if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+                raise ValueError(f"{flag} names a file in a missing directory: {path!r}")
         per_run = [] if args.trace else None
         cells = sweep(config, per_run)
         write_csv([asdict(cell) for cell in cells], args.out)

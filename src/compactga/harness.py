@@ -22,7 +22,7 @@ from . import metrics
 from .algorithms import IterationLimitError, RunStats, Variant
 from .cache import CachedEvaluator, CachePolicy, FitnessCache
 from .chromosome import Rng, _integer
-from .problems import fitness_function, problem_bit_limit
+from .problems import MAX_BITS, fitness_function
 
 @dataclass
 class ExperimentConfig:
@@ -47,7 +47,7 @@ class ExperimentConfig:
         self.capacities = tuple(sorted({_integer("capacities", c) for c in self.capacities}))
         if self.bits < 1:
             raise ValueError(f"bits must be positive, got {self.bits}")
-        limit = problem_bit_limit(self.problem)
+        limit = MAX_BITS.get(self.problem)
         if limit is not None and self.bits > limit:
             raise ValueError(f"problem {self.problem!r} supports at most {limit} bits, got {self.bits}")
         if not self.n_values:

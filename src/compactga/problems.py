@@ -2,7 +2,8 @@
 
 Both problems are maximization: ``onemax`` counts 1-alleles, and
 ``binary_integer`` reads the whole string as a big-endian integer.
-New problems can be added through :data:`FITNESS_FUNCTIONS`.
+New problems can be added through :data:`FITNESS_FUNCTIONS`, with a
+default length in :data:`DEFAULT_BITS` and a length cap in :data:`MAX_BITS`.
 """
 
 from __future__ import annotations
@@ -36,6 +37,12 @@ FITNESS_FUNCTIONS: dict[str, FitnessFn] = {
     "binint": binary_integer,
 }
 
+# chromosome length when none is given; a problem without an entry needs one
+DEFAULT_BITS = {"onemax": 100, "binint": 30}
+
+# longest supported chromosome; a problem without an entry is unbounded
+MAX_BITS = {"binint": MAX_BINARY_INTEGER_BITS}
+
 
 def fitness_function(name: str) -> FitnessFn:
     """Look up a fitness function by its registry name."""
@@ -45,7 +52,3 @@ def fitness_function(name: str) -> FitnessFn:
         known = ", ".join(sorted(FITNESS_FUNCTIONS))
         raise ValueError(f"unknown problem {name!r} (known: {known})") from None
 
-
-def problem_bit_limit(name: str) -> int | None:
-    """Maximum supported chromosome length for a problem, or None if unbounded."""
-    return MAX_BINARY_INTEGER_BITS if name == "binint" else None

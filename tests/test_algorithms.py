@@ -17,8 +17,8 @@ from compactga import (
 from compactga.problems import binary_integer
 
 
-def uncached(fn=onemax):
-    return CachedEvaluator.uncached(fn)
+def no_cache(fn=onemax):
+    return CachedEvaluator(fn, FitnessCache(0))
 
 
 def as_tuples(stats):
@@ -30,7 +30,7 @@ def final_pv_fractions(stats, population_size):
 
 
 def test_single_gene_run_terminates():
-    stats = Variant("cga").run(1, 2, uncached(), Rng(0))
+    stats = Variant("cga").run(1, 2, no_cache(), Rng(0))
     assert str(stats.solution) in ("0", "1")
     assert stats.iterations >= 1
     assert set(stats.final_pv) <= {0, 4}
@@ -39,27 +39,27 @@ def test_single_gene_run_terminates():
 
 def test_argument_validation():
     with pytest.raises(ValueError):
-        Variant("cga").run(0, 10, uncached(), Rng(0))
+        Variant("cga").run(0, 10, no_cache(), Rng(0))
     with pytest.raises(ValueError):
-        Variant("cga").run(4, 1, uncached(), Rng(0))
+        Variant("cga").run(4, 1, no_cache(), Rng(0))
     with pytest.raises(ValueError):
-        Variant("cga-t", s=1).run(4, 10, uncached(), Rng(0))
+        Variant("cga-t", s=1).run(4, 10, no_cache(), Rng(0))
     with pytest.raises(ValueError):
-        Variant("cga-rr", m=1).run(4, 10, uncached(), Rng(0))
+        Variant("cga-rr", m=1).run(4, 10, no_cache(), Rng(0))
     with pytest.raises(ValueError):
-        Variant("ne-cga", eta=0).run(4, 10, uncached(), Rng(0))
+        Variant("ne-cga", eta=0).run(4, 10, no_cache(), Rng(0))
 
 
 def test_iteration_cap_raises(monkeypatch):
     monkeypatch.setattr(algorithms, "DEFAULT_ITERATION_CAP", 3)
     with pytest.raises(IterationLimitError) as err:
-        Variant("cga").run(60, 60, uncached(), Rng(1))
+        Variant("cga").run(60, 60, no_cache(), Rng(1))
     assert err.value.iterations == 3
 
 
 def test_tournament_of_two_reduces_to_cga():
-    base = Variant("cga").run(16, 8, uncached(), Rng(71), trace=True)
-    t2 = Variant("cga-t", s=2).run(16, 8, uncached(), Rng(71), trace=True)
+    base = Variant("cga").run(16, 8, no_cache(), Rng(71), trace=True)
+    t2 = Variant("cga-t", s=2).run(16, 8, no_cache(), Rng(71), trace=True)
     assert t2.iterations == base.iterations
     assert t2.updates == base.updates
     assert t2.final_pv == base.final_pv
@@ -67,31 +67,31 @@ def test_tournament_of_two_reduces_to_cga():
 
 
 def test_round_robin_of_two_reduces_to_cga():
-    base = Variant("cga").run(16, 8, uncached(), Rng(72), trace=True)
-    rr2 = Variant("cga-rr", m=2).run(16, 8, uncached(), Rng(72), trace=True)
+    base = Variant("cga").run(16, 8, no_cache(), Rng(72), trace=True)
+    rr2 = Variant("cga-rr", m=2).run(16, 8, no_cache(), Rng(72), trace=True)
     assert rr2.iterations == base.iterations
     assert rr2.updates == base.updates
     assert rr2.final_pv == base.final_pv
 
 
 def test_round_robin_updates_per_iteration():
-    stats = Variant("cga-rr", m=4).run(12, 8, uncached(), Rng(3), trace=True)
+    stats = Variant("cga-rr", m=4).run(12, 8, no_cache(), Rng(3), trace=True)
     assert len(stats.updates) == 6 * stats.iterations
 
 
 def test_tournament_updates_per_iteration():
-    stats = Variant("cga-t", s=5).run(12, 8, uncached(), Rng(3), trace=True)
+    stats = Variant("cga-t", s=5).run(12, 8, no_cache(), Rng(3), trace=True)
     assert len(stats.updates) == 4 * stats.iterations
 
 
 def test_pe_cga_looks_up_once_per_iteration_after_the_first():
-    stats = Variant("pe-cga").run(16, 10, uncached(), Rng(9))
+    stats = Variant("pe-cga").run(16, 10, no_cache(), Rng(9))
     assert stats.hits + stats.misses == 2 + (stats.iterations - 1)
 
 
 def test_ne_cga_with_huge_eta_matches_pe_cga():
-    pe = Variant("pe-cga").run(20, 10, uncached(), Rng(33), trace=True)
-    ne = Variant("ne-cga", eta=10**9).run(20, 10, uncached(), Rng(33), trace=True)
+    pe = Variant("pe-cga").run(20, 10, no_cache(), Rng(33), trace=True)
+    ne = Variant("ne-cga", eta=10**9).run(20, 10, no_cache(), Rng(33), trace=True)
     assert ne.iterations == pe.iterations
     assert ne.updates == pe.updates
     assert ne.final_pv == pe.final_pv
@@ -121,7 +121,7 @@ def test_trajectory_matches_rational_reference(kind, params, problem):
     fn = onemax if problem == "onemax" else binary_integer
     ref_fn = ref.onemax_bits if problem == "onemax" else ref.binint_bits
     for seed in (5, 6, 7):
-        stats = Variant(kind, **params).run(length, n, uncached(fn), Rng(seed), trace=True)
+        stats = Variant(kind, **params).run(length, n, no_cache(fn), Rng(seed), trace=True)
         if kind == "cga":
             expected = ref.run_cga(length, n, ref_fn, Rng(seed))
         elif kind == "cga-t":
@@ -152,7 +152,7 @@ ALL_VARIANTS = [
 def test_cache_does_not_change_the_trajectory(variant):
     length, n = 24, 12
     for seed in range(40, 60):
-        plain = variant.run(length, n, uncached(), Rng(seed), trace=True)
+        plain = variant.run(length, n, no_cache(), Rng(seed), trace=True)
         for capacity, policy in ((1, "fifo"), (3, "lru"), (20, "fifo"), (20, "lru")):
             cached_ev = CachedEvaluator(onemax, FitnessCache(capacity, policy))
             cached = variant.run(length, n, cached_ev, Rng(seed), trace=True)
@@ -170,7 +170,7 @@ def test_evaluations_equal_misses_with_and_without_cache():
     ev = CachedEvaluator(onemax, FitnessCache(5, CachePolicy.LRU))
     stats = Variant("cga").run(16, 8, ev, Rng(12))
     assert stats.evaluations == stats.misses == ev.cache.misses
-    plain = Variant("cga").run(16, 8, uncached(), Rng(12))
+    plain = Variant("cga").run(16, 8, no_cache(), Rng(12))
     assert plain.hits == 0
     assert plain.evaluations == plain.misses == plain.hits + plain.misses
 
@@ -179,7 +179,7 @@ def test_counters_report_per_run_deltas_when_evaluator_is_reused():
     ev = CachedEvaluator(onemax, FitnessCache(5, "fifo"))
     first = Variant("cga").run(12, 6, ev, Rng(1))
     second = Variant("cga").run(12, 6, ev, Rng(2))
-    h, m = ev.cache.counters()
+    h, m = ev.cache.hits, ev.cache.misses
     assert first.hits + second.hits == h
     assert first.misses + second.misses == m
 
@@ -236,6 +236,6 @@ def test_run_calls_the_fitness_function_once_more_than_it_counts(variant, capaci
 
 def test_variant_run_dispatch():
     for variant in ALL_VARIANTS:
-        stats = variant.run(10, 6, uncached(), Rng(77))
+        stats = variant.run(10, 6, no_cache(), Rng(77))
         assert stats.iterations >= 1
         assert set(stats.final_pv) <= {0, 12}

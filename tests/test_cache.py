@@ -39,7 +39,7 @@ def test_fifo_eviction_sequence():
     cache = FitnessCache(2, "fifo")
     outcomes = lookup_sequence(cache, lambda c: c.to_int(), [1, 2, 3, 1])
     assert outcomes == ["miss", "miss", "miss", "miss"]
-    assert cache.counters() == (0, 4)
+    assert (cache.hits, cache.misses) == (0, 4)
     assert cache.dump() == f"{chrom(3)},3\n{chrom(1)},1"
 
 
@@ -47,7 +47,7 @@ def test_lru_eviction_sequence():
     cache = FitnessCache(2, "lru")
     outcomes = lookup_sequence(cache, lambda c: c.to_int(), [1, 2, 1, 3, 2])
     assert outcomes == ["miss", "miss", "hit", "miss", "miss"]
-    assert cache.counters() == (1, 4)
+    assert (cache.hits, cache.misses) == (1, 4)
     assert cache.dump() == f"{chrom(3)},3\n{chrom(2)},2"
 
 
@@ -56,7 +56,7 @@ def test_capacity_one_repeated_key(policy):
     cache = FitnessCache(1, policy)
     outcomes = lookup_sequence(cache, lambda c: c.to_int(), [1, 1, 1])
     assert outcomes == ["miss", "hit", "hit"]
-    assert cache.counters() == (2, 1)
+    assert (cache.hits, cache.misses) == (2, 1)
 
 
 def test_evict_front_returns_front_key():
@@ -77,11 +77,11 @@ def test_evict_front_follows_lru_recency():
 
 def test_counters_start_at_zero_and_accumulate():
     cache = FitnessCache(4, "fifo")
-    assert cache.counters() == (0, 0)
+    assert (cache.hits, cache.misses) == (0, 0)
     ev = CachedEvaluator(lambda c: 0, cache)
     for i in (1, 2, 3, 1, 2):
         ev(chrom(i))
-    assert cache.counters() == (2, 3)
+    assert (cache.hits, cache.misses) == (2, 3)
 
 
 def test_counters_count_every_lookup_once():
@@ -91,7 +91,7 @@ def test_counters_count_every_lookup_once():
     total = 500
     for _ in range(total):
         ev(chrom(rnd.randrange(8)))
-    hits, misses = cache.counters()
+    hits, misses = cache.hits, cache.misses
     assert hits + misses == total
 
 
@@ -101,7 +101,7 @@ def test_capacity_zero_never_stores():
     ev = CachedEvaluator(lambda c: evaluated.append(c) or c.to_int(), cache)
     for i in (1, 1, 2, 2):
         ev(chrom(i))
-    assert cache.counters() == (0, 4)
+    assert (cache.hits, cache.misses) == (0, 4)
     assert len(cache) == 0
     assert len(evaluated) == 4
 
@@ -135,7 +135,7 @@ def test_failed_evaluation_leaves_cache_untouched():
     cache = FitnessCache(2, "lru")
     ev = CachedEvaluator(lambda c: c.to_int(), cache)
     ev(chrom(1))
-    snapshot = (cache.dump(), cache.counters())
+    snapshot = (cache.dump(), cache.hits, cache.misses)
 
     def explode(c):
         raise RuntimeError("fitness unavailable")
@@ -143,7 +143,7 @@ def test_failed_evaluation_leaves_cache_untouched():
     ev.fitness_fn = explode
     with pytest.raises(RuntimeError):
         ev(chrom(2))
-    assert (cache.dump(), cache.counters()) == snapshot
+    assert (cache.dump(), cache.hits, cache.misses) == snapshot
     ev.fitness_fn = lambda c: c.to_int()
     assert ev(chrom(1)) == chrom(1).to_int()  # hit still works afterwards
 
@@ -152,19 +152,19 @@ def test_nan_fitness_is_rejected_and_leaves_cache_untouched():
     cache = FitnessCache(2, "lru")
     ev = CachedEvaluator(lambda c: c.to_int(), cache)
     ev(chrom(1))
-    snapshot = (cache.dump(), cache.counters())
+    snapshot = (cache.dump(), cache.hits, cache.misses)
     ev.fitness_fn = lambda c: float("nan")
     with pytest.raises(ValueError, match=str(chrom(2))):
         ev(chrom(2))
-    assert (cache.dump(), cache.counters()) == snapshot
+    assert (cache.dump(), cache.hits, cache.misses) == snapshot
     assert ev(chrom(1)) == chrom(1).to_int()  # a hit never re-evaluates
 
 
 def test_nan_fitness_fails_a_run():
-    ev = CachedEvaluator.uncached(lambda c: float("nan"))
+    ev = CachedEvaluator(lambda c: float("nan"), FitnessCache(0))
     with pytest.raises(ValueError, match="NaN"):
         Variant("cga").run(8, 4, ev, Rng(0))
-    assert ev.cache.counters() == (0, 0)
+    assert (ev.cache.hits, ev.cache.misses) == (0, 0)
 
 
 def test_lookup_or_evaluate_is_transparent():
@@ -202,8 +202,8 @@ def test_matches_naive_model(policy, capacity, indices):
         else:
             assert real_hit
             assert value == naive_value
-        cache.check_consistency()
+        assert len(cache) <= cache.capacity
     assert cache.dump() == naive.dump()
-    assert cache.counters() == (naive.hits, naive.misses)
+    assert (cache.hits, cache.misses) == (naive.hits, naive.misses)
     assert cache.hits + cache.misses == len(indices)
 

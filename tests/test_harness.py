@@ -16,7 +16,7 @@ from compactga import (
     write_csv,
 )
 from compactga.cli import load_config_file, main, parse_int_list
-from compactga.problems import FITNESS_FUNCTIONS
+from compactga.problems import DEFAULT_BITS, FITNESS_FUNCTIONS
 from test_golden_csv import GOLDEN, sha256
 
 
@@ -325,14 +325,21 @@ def test_cli_bad_config_value_exits_without_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-def test_cli_help_shows_defaults(capsys):
-    with pytest.raises(SystemExit) as exit_info:
-        main(["--help"])
-    assert exit_info.value.code == 0
-    help_text = " ".join(capsys.readouterr().out.split())
+def test_cli_help_shows_defaults(capsys, monkeypatch):
+    def help_text():
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        return " ".join(capsys.readouterr().out.split())
+
+    text = help_text()
     for shown in ("(default cga)", "(default 100)", "(default 20)", "(default fifo)",
-                  "(default 50)", "(default results.csv)"):
-        assert shown in help_text
+                  "(default 50)", "(default results.csv)", "(default 100 for onemax, 30 for binint)"):
+        assert shown in text
+    # a registered problem brings its default length into --help
+    monkeypatch.setitem(FITNESS_FUNCTIONS, "zeros", lambda c: 0)
+    monkeypatch.setitem(DEFAULT_BITS, "zeros", 17)
+    assert "(default 100 for onemax, 30 for binint, 17 for zeros)" in help_text()
 
 
 def test_cli_trace_writes_per_run_detail(tmp_path):
@@ -378,6 +385,27 @@ def test_cli_never_overwrites_its_config_file(tmp_path, monkeypatch, capsys, nam
     assert f"error: --config and {other} name the same file: {name}" in capsys.readouterr().err
     assert config.read_bytes() == before
     assert os.listdir(tmp_path) == [name]
+
+
+@pytest.mark.parametrize("flag", ["--out", "--trace"])
+@pytest.mark.parametrize("target,message", [
+    ("missing/x.csv", "names a file in a missing directory"),
+    ("a_directory", "names a directory"),
+    ("", "names a directory"),
+], ids=["missing-directory", "directory", "empty"])
+def test_cli_checks_output_paths_before_the_sweep(tmp_path, monkeypatch, capsys, flag, target, message):
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    run = Variant.run
+    monkeypatch.setattr(Variant, "run", lambda self, *args, **kw: calls.append(args) or run(self, *args, **kw))
+    (tmp_path / "a_directory").mkdir()
+    paths = {"--out": "r.csv", "--trace": "runs.csv", flag: target}
+    code = main(["--bits", "8", "--pop", "4", "--runs", "2", "--cache", "0,2",
+                 "--out", paths["--out"], "--trace", paths["--trace"]])
+    assert code == 2
+    assert f"error: {flag} {message}: {target!r}" in capsys.readouterr().err
+    assert calls == []
+    assert sorted(os.listdir(tmp_path)) == ["a_directory"]
 
 
 def test_cli_reports_errors(tmp_path, capsys):
