@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import operator
+import os
+import threading
 
 import numpy as np
 
@@ -18,6 +20,65 @@ def _integer(name: str, value) -> int:
 
 
 _BLOCK = 4096  # variates per read of the stream: 32 KB of float64
+_READ_AHEAD = 16 * _BLOCK  # variates per background read: 512 KB of float64
+
+# The queue of reads for the one worker thread that fills every
+# reading-ahead Rng's reads. The first read-ahead in a process starts the
+# thread; a forked child forgets the queue, since the parent's thread does
+# not exist there, and its first read-ahead starts its own. Two threads that
+# start it at once may each make one: that costs an idle thread and no
+# draw, since an Rng has one read in flight at a time.
+_reads = None
+
+
+class _Read:
+    """The next `_READ_AHEAD` variates of `gen`, filled on the reader thread.
+
+    A plain lock marks it done, rather than a ``concurrent.futures`` future,
+    so that the reader thread runs as little Python, which needs the GIL, as
+    it can: numpy drops the GIL while it fills.
+    """
+
+    __slots__ = ("gen", "done", "array", "error")
+
+    def __init__(self, gen: np.random.Generator):
+        global _reads
+        if _reads is None:
+            import queue  # here: a run that never reads ahead should not load it
+
+            _reads = queue.SimpleQueue()
+            threading.Thread(target=_fill_forever, args=(_reads,), name="compactga-rng", daemon=True).start()
+        self.gen = gen
+        self.error = None
+        self.done = threading.Lock()
+        self.done.acquire()  # held until the reader thread has set `array` or `error`
+        _reads.put(self)
+
+    def take(self) -> np.ndarray:
+        """Wait for the fill; return its variates, or raise what it raised."""
+        with self.done:
+            pass
+        if self.error is not None:
+            raise self.error
+        return self.array
+
+
+def _fill_forever(reads) -> None:
+    while True:
+        read = reads.get()
+        try:
+            read.array = read.gen.random(_READ_AHEAD)
+        except Exception as exc:  # raised again by take, in the thread that waits for it
+            read.error = exc
+        read.done.release()
+
+
+def _forget_reader() -> None:
+    global _reads
+    _reads = None
+
+
+os.register_at_fork(after_in_child=_forget_reader)
 
 
 class Rng:
@@ -30,6 +91,19 @@ class Rng:
     saves a generator call per sampled chromosome and changes no draw; each
     read allocates a new block, so a handed-out array is never overwritten.
     The ``Rng`` keeps its last read, however large, until the next refill.
+
+    The first refill for a request of at least ``_BLOCK`` variates (a
+    chromosome of at least 4096 genes) switches the ``Rng`` to reading
+    ahead for the rest of its life. From then on one background thread,
+    shared by every ``Rng`` of the process, makes all of its reads, each of
+    ``_READ_AHEAD`` variates, and the next read is queued as soon as one is
+    taken, so that PCG64 fills it, outside the GIL, while the run works on
+    the last one. Reads still come from the one generator in stream order,
+    so read-ahead changes no draw either. Such an ``Rng`` holds its current
+    read plus the one in flight: 1 MB of float64. Below the switch nothing
+    starts a thread. A forked child starts its own reader thread; an
+    ``Rng`` carried across a fork while its read is still in flight is not
+    supported, because the thread that would finish it stays in the parent.
     """
 
     def __init__(self, seed: int):
@@ -39,6 +113,7 @@ class Rng:
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
         self._block = np.empty(0)
         self._pos = 0  # variates of _block already handed out
+        self._ahead = None  # the read in flight, once the Rng reads ahead
 
     def uniforms(self, count: int) -> np.ndarray:
         """Next `count` variates of ``Generator(PCG64(seed)).random``, each in [0, 1)."""
@@ -50,11 +125,26 @@ class Rng:
         if end <= len(block):
             self._pos = end
             return block[pos:end]
-        # what is left of the block, then the start of a new one
         need = end - len(block)
-        self._block, self._pos = self._gen.random(max(need, _BLOCK)), need
-        fresh = self._block[:need]
-        return np.concatenate((block[pos:], fresh)) if pos < len(block) else fresh
+        if self._ahead is None:
+            if count < _BLOCK:
+                # what is left of the block, then the start of a new one
+                self._block, self._pos = self._gen.random(max(need, _BLOCK)), need
+                fresh = self._block[:need]
+                return np.concatenate((block[pos:], fresh)) if pos < len(block) else fresh
+            # from here on only the reader thread calls _gen, one read at a time
+            self._ahead = _Read(self._gen)
+        parts = [block[pos:]] if pos < len(block) else []
+        while True:
+            block = self._ahead.take()
+            self._ahead = _Read(self._gen)
+            if need <= len(block):
+                break
+            parts.append(block)
+            need -= len(block)
+        self._block, self._pos = block, need
+        parts.append(block[:need])
+        return np.concatenate(parts) if len(parts) > 1 else parts[0]
 
     def __repr__(self) -> str:
         return f"Rng(seed={self.seed})"

@@ -126,7 +126,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.config:
+        if args.config is not None:  # '' too: it names no file
             # file values first: argparse keeps the last value, so flags win
             file_args = [f"--{key}={value}" for key, value in load_config_file(args.config).items()]
             args = parser.parse_args(file_args + argv)

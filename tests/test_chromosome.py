@@ -1,10 +1,15 @@
+import os
+import signal
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from compactga import Chromosome, ProbabilityVector, Rng
-from compactga.chromosome import _BLOCK
+from compactga import CachedEvaluator, Chromosome, FitnessCache, ProbabilityVector, Rng, Variant, chromosome, onemax
+from compactga.chromosome import _BLOCK, _READ_AHEAD
 
 bit_lists = st.lists(st.integers(0, 1), min_size=1, max_size=80)
 
@@ -136,6 +141,106 @@ def test_block_reads_equal_one_read_of_the_stream(seed, counts):
         assert u.dtype == np.float64 and u.shape == (count,)
         assert np.array_equal(u, stream[offset:offset + count])
         offset += count
+
+
+small_counts = st.lists(st.integers(0, 40), max_size=4)
+# around a block, around a background read, and long enough for two refills in one request
+mixed_counts = st.lists(
+    st.one_of(
+        st.integers(0, 40),
+        st.integers(_BLOCK - 2, _BLOCK + 2),
+        st.integers(_READ_AHEAD - 2, _READ_AHEAD + 2),
+        st.integers(2 * _READ_AHEAD + 1, 2 * _READ_AHEAD + 40),
+    ),
+    max_size=6,
+)
+
+
+@given(st.integers(0, 2**64 - 1), small_counts, st.integers(_BLOCK, _BLOCK + 40), mixed_counts)
+def test_read_ahead_equals_one_read_of_the_stream(seed, before, first_long, after):
+    counts = before + [first_long] + after  # the first long request switches to read-ahead
+    rng = Rng(seed)
+    handed_out = [(rng.uniforms(count), count) for count in counts]
+    # checked only after every draw, so an array overwritten by a later read shows too
+    stream = np.random.Generator(np.random.PCG64(seed)).random(sum(counts))
+    offset = 0
+    for u, count in handed_out:
+        assert u.dtype == np.float64 and u.shape == (count,)
+        assert np.array_equal(u, stream[offset:offset + count])
+        offset += count
+
+
+def test_a_short_genome_run_starts_no_thread(monkeypatch):
+    # as if no long draw had come first in this process, so a started reader would show
+    monkeypatch.setattr(chromosome, "_reads", None)
+    before = threading.active_count()
+    evaluator = CachedEvaluator(onemax, FitnessCache(4))
+    Variant("cga").run(length=100, population_size=10, evaluator=evaluator, rng=Rng(3))
+    assert threading.active_count() == before
+    assert chromosome._reads is None
+
+
+def test_a_failed_background_read_raises_where_the_stream_is_drawn():
+    rng = Rng(1)
+    rng._gen = None  # the reader thread's fill raises AttributeError
+    errors = []
+
+    def draw_twice():  # the second draw raises again, rather than waiting forever
+        for _ in range(2):
+            with pytest.raises(AttributeError) as err:
+                rng.uniforms(_BLOCK)
+            errors.append(err.value)
+
+    thread = threading.Thread(target=draw_twice, daemon=True)
+    thread.start()
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert len(errors) == 2
+    # the reader thread outlives the failure
+    stream = np.random.Generator(np.random.PCG64(2)).random(2 * _READ_AHEAD)
+    assert np.array_equal(Rng(2).uniforms(2 * _READ_AHEAD), stream)
+
+
+def test_threads_drawing_at_once_each_get_their_own_stream():
+    counts = [_BLOCK, 7, _READ_AHEAD + 3, 10_000, 2 * _READ_AHEAD + 5, 1] * 2
+    results = {}
+
+    def draw(seed):
+        rng = Rng(seed)
+        results[seed] = np.concatenate([rng.uniforms(count) for count in counts])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=draw, args=(seed,), daemon=True) for seed in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for seed in range(6):
+        assert np.array_equal(results[seed], np.random.Generator(np.random.PCG64(seed)).random(sum(counts)))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_reads_ahead_on_a_thread_of_its_own():
+    seed = 11
+    Rng(seed).uniforms(10_000)  # starts this process's reader thread
+    pid = os.fork()
+    if pid == 0:
+        verdict = 1
+        try:
+            signal.alarm(30)  # a read queued on the parent's thread would never finish
+            rng = Rng(seed)
+            draws = np.concatenate([rng.uniforms(10_000) for _ in range(3)])
+            stream = np.random.Generator(np.random.PCG64(seed)).random(30_000)
+            verdict = 0 if np.array_equal(draws, stream) else 1
+        finally:
+            os._exit(verdict)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])

@@ -408,6 +408,17 @@ def test_cli_checks_output_paths_before_the_sweep(tmp_path, monkeypatch, capsys,
     assert sorted(os.listdir(tmp_path)) == ["a_directory"]
 
 
+def test_cli_rejects_an_empty_config_path_before_the_sweep(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    monkeypatch.setattr(Variant, "run", lambda self, *args, **kw: calls.append(args))
+    code = main(["--config", "", "--bits", "8", "--pop", "4", "--runs", "1", "--cache", "0", "--out", "x.csv"])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert calls == []
+    assert os.listdir(tmp_path) == []
+
+
 def test_cli_reports_errors(tmp_path, capsys):
     code = main(["--bits", "0", "--out", str(tmp_path / "r.csv")])
     assert code == 2
