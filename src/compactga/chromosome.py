@@ -22,12 +22,12 @@ def _integer(name: str, value) -> int:
 _BLOCK = 4096  # variates per read of the stream: 32 KB of float64
 _READ_AHEAD = 16 * _BLOCK  # variates per background read: 512 KB of float64
 
-# The queue of reads for the one worker thread that fills every
-# reading-ahead Rng's reads. The first read-ahead in a process starts the
-# thread; a forked child forgets the queue, since the parent's thread does
-# not exist there, and its first read-ahead starts its own. Two threads that
-# start it at once may each make one: that costs an idle thread and no
-# draw, since an Rng has one read in flight at a time.
+# The reader thread of this process, as (pid that started it, queue of its
+# reads). The first read-ahead in a process starts the thread; a forked
+# child finds the parent's pid here, since the parent's thread does not
+# exist in the child, and its first read-ahead starts the child's own. Two
+# threads that start it at once may each make one: that costs an idle
+# thread and no draw, since an Rng has one read in flight at a time.
 _reads = None
 
 
@@ -36,26 +36,31 @@ class _Read:
 
     A plain lock marks it done, rather than a ``concurrent.futures`` future,
     so that the reader thread runs as little Python, which needs the GIL, as
-    it can: numpy drops the GIL while it fills.
+    it can: numpy drops the GIL while it fills. Only the process that
+    queued it, `pid`, has the thread that fills it.
     """
 
-    __slots__ = ("gen", "done", "array", "error")
+    __slots__ = ("gen", "pid", "done", "array", "error")
 
     def __init__(self, gen: np.random.Generator):
         global _reads
-        if _reads is None:
+        self.pid = os.getpid()
+        reads = _reads
+        if reads is None or reads[0] != self.pid:
             import queue  # here: a run that never reads ahead should not load it
 
-            _reads = queue.SimpleQueue()
-            threading.Thread(target=_fill_forever, args=(_reads,), name="compactga-rng", daemon=True).start()
+            reads = _reads = (self.pid, queue.SimpleQueue())
+            threading.Thread(target=_fill_forever, args=(reads[1],), name="compactga-rng", daemon=True).start()
         self.gen = gen
         self.error = None
         self.done = threading.Lock()
         self.done.acquire()  # held until the reader thread has set `array` or `error`
-        _reads.put(self)
+        reads[1].put(self)
 
     def take(self) -> np.ndarray:
         """Wait for the fill; return its variates, or raise what it raised."""
+        if self.pid != os.getpid():  # finished or not, so the outcome does not depend on timing
+            raise RuntimeError(f"Rng read ahead in process {self.pid} before a fork; make a new Rng in the child")
         with self.done:
             pass
         if self.error is not None:
@@ -71,14 +76,6 @@ def _fill_forever(reads) -> None:
         except Exception as exc:  # raised again by take, in the thread that waits for it
             read.error = exc
         read.done.release()
-
-
-def _forget_reader() -> None:
-    global _reads
-    _reads = None
-
-
-os.register_at_fork(after_in_child=_forget_reader)
 
 
 class Rng:
@@ -101,9 +98,10 @@ class Rng:
     the last one. Reads still come from the one generator in stream order,
     so read-ahead changes no draw either. Such an ``Rng`` holds its current
     read plus the one in flight: 1 MB of float64. Below the switch nothing
-    starts a thread. A forked child starts its own reader thread; an
-    ``Rng`` carried across a fork while its read is still in flight is not
-    supported, because the thread that would finish it stays in the parent.
+    starts a thread. A forked child starts its own reader thread on its
+    first read-ahead. A reading-ahead ``Rng`` carried across a fork raises
+    RuntimeError at its next refill in the child, since the thread that
+    fills its read stays in the parent: make a new ``Rng`` in the child.
     """
 
     def __init__(self, seed: int):
@@ -116,7 +114,11 @@ class Rng:
         self._ahead = None  # the read in flight, once the Rng reads ahead
 
     def uniforms(self, count: int) -> np.ndarray:
-        """Next `count` variates of ``Generator(PCG64(seed)).random``, each in [0, 1)."""
+        """Next `count` variates of ``Generator(PCG64(seed)).random``, each in [0, 1).
+
+        Raises RuntimeError in a forked child if this ``Rng`` read ahead
+        before the fork and the request needs a refill.
+        """
         count = _integer("count", count)
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
@@ -126,18 +128,15 @@ class Rng:
             self._pos = end
             return block[pos:end]
         need = end - len(block)
-        if self._ahead is None:
-            if count < _BLOCK:
-                # what is left of the block, then the start of a new one
-                self._block, self._pos = self._gen.random(max(need, _BLOCK)), need
-                fresh = self._block[:need]
-                return np.concatenate((block[pos:], fresh)) if pos < len(block) else fresh
+        if self._ahead is None and count >= _BLOCK:
             # from here on only the reader thread calls _gen, one read at a time
             self._ahead = _Read(self._gen)
         parts = [block[pos:]] if pos < len(block) else []
         while True:
-            block = self._ahead.take()
-            self._ahead = _Read(self._gen)
+            if self._ahead is None:
+                block = self._gen.random(max(need, _BLOCK))
+            else:
+                block, self._ahead = self._ahead.take(), _Read(self._gen)
             if need <= len(block):
                 break
             parts.append(block)

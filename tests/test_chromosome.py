@@ -243,6 +243,30 @@ def test_a_forked_child_reads_ahead_on_a_thread_of_its_own():
     assert os.waitstatus_to_exitcode(status) == 0
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("finished", [False, True], ids=["in-flight", "finished"])
+def test_a_read_carried_across_a_fork_raises_in_the_child(finished):
+    rng = Rng(5)
+    rng.uniforms(10_000)  # reads ahead: the next read is queued on this process's thread
+    if finished:
+        with rng._ahead.done:
+            pass
+    pid = os.fork()
+    if pid == 0:
+        verdict = 1
+        try:
+            signal.alarm(30)  # a wait for the parent's thread would never end
+            try:
+                for _ in range(_READ_AHEAD // 10_000 + 1):  # the last draw needs a refill
+                    rng.uniforms(10_000)
+            except RuntimeError:
+                verdict = 0
+        finally:
+            os._exit(verdict)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_rng_rejects_out_of_range_seeds(seed):
     with pytest.raises(ValueError):

@@ -72,6 +72,15 @@ GOLDEN = {
         "4f111051ac812fe65093f5402e26cfcf55e221c09c3ae2329a17865548cec88c",
         "bc0aa7622752b8109191c9f80eb4a077d96e0724e47520d2997ec6d47469d61d",
     ),
+    # 4096 variates is one block, so every sample on both loops reads the stream ahead
+    ("cga", "onemax", 4096, "fifo"): (
+        "bb28063c43c7055a88c276e5febb8fe7472dcfe13243b6ce720d29c314cd1ead",
+        "711d3c886beaeb2932decae306fa9e60c992e302e308d1cb34d398d149858853",
+    ),
+    ("pe-cga", "onemax", 4096, "fifo"): (
+        "4c4fff5920dcdc9372b7d888b04a5c1b9f1d6ad322f686129ef1291af7ea4cc9",
+        "644b24e742610f7102c2b6205ae0903e5c705ad36cd7be81da09ddd7ec6b9577",
+    ),
     ("cga", "binint", 12, "lru"): (
         "826dc75a0e7bff08fa6d4de55841f8320036866116c0a1ad40c98cb38abe2553",
         "21fa6d97f9b3c11fce43029a20318c652d4b1d1daddab12394c2ac030441dd66",
