@@ -1,15 +1,19 @@
 """The compact-GA family, parameterized over a fitness evaluator.
 
-The five variants come from two papers and run on two loops:
+The five variants come from two papers and run on one loop, in
+``Variant.run``. The loop tests convergence, enforces the iteration cap and
+applies the (winner, loser) updates that one step of a private generator
+yields; the generator for each kind samples and evaluates one iteration's
+chromosomes in sampling order, then yields that iteration's pairs in the
+order they are applied:
 
 - Harik, Lobo & Goldberg, "The compact genetic algorithm", IEEE Trans.
   Evol. Comput. 3(4), 1999: ``cga`` and its tournament (``cga-t``) and
-  round-robin (``cga-rr``) forms. One sampled loop runs all three: sample k
-  chromosomes, evaluate them in sampling order, then apply a list of
-  (winner, loser) updates. ``cga`` is ``cga-t(s=2)`` and ``cga-rr(m=2)``.
+  round-robin (``cga-rr``) forms. ``cga`` is ``cga-t(s=2)`` and
+  ``cga-rr(m=2)``, and runs on the round-robin generator.
 - Ahn & Ramakrishna, "Elitism-based compact genetic algorithms", IEEE
   Trans. Evol. Comput. 7(4), 2003: persistent (``pe-cga``) and nonpersistent
-  (``ne-cga``) elitism. One elitist loop runs both; ``pe-cga`` is
+  (``ne-cga``) elitism. One elitist generator runs both; ``pe-cga`` is
   ``ne-cga`` with an unbounded inheritance length.
 
 Cached and uncached runs share one code path: the evaluator decides whether
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .cache import CachedEvaluator
 from .chromosome import Chromosome, Rng, _integer
@@ -44,6 +48,10 @@ class IterationLimitError(RuntimeError):
     def __init__(self, message: str, iterations: int):
         super().__init__(message)
         self.iterations = iterations
+
+    def __reduce__(self):
+        # the default rebuilds the error from self.args alone, which lacks iterations
+        return type(self), (self.args[0], self.iterations)
 
 
 @dataclass
@@ -78,57 +86,29 @@ def default_inheritance_length(population_size: int) -> int:
     return max(1, math.ceil(population_size / 10))
 
 
-def _round_robin_pairs(candidates, fitnesses):
-    """Every pair i < j competes, in order: k(k-1)/2 updates."""
-    k = len(candidates)
-    return [
-        compete(candidates[i], fitnesses[i], candidates[j], fitnesses[j])
-        for i in range(k - 1)
-        for j in range(i + 1, k)
-    ]
-
-
-def _tournament_pairs(candidates, fitnesses):
-    """The earliest-sampled maximum beats each of the others, in sampling order."""
-    best = max(range(len(candidates)), key=fitnesses.__getitem__)
-    winner = candidates[best]
-    return [(winner, c) for j, c in enumerate(candidates) if j != best]
-
-
-def _sampled_loop(
-    pv: ProbabilityVector,
-    k: int,
-    pairs: Callable[[list[Chromosome], list], list[tuple[Chromosome, Chromosome]]],
-    evaluator: CachedEvaluator,
-    rng: Rng,
-    updates: Optional[list],
-) -> int:
-    """Sample k chromosomes, evaluate them in sampling order, apply ``pairs``.
-
-    ``pairs(candidates, fitnesses)`` gives one iteration's (winner, loser)
-    updates in the order they are applied. Returns the iteration count.
-    """
-    iterations = 0
-    while not pv.is_converged():
-        if iterations >= DEFAULT_ITERATION_CAP:
-            raise IterationLimitError(f"not converged after {iterations} iterations", iterations)
-        iterations += 1
-        candidates = [pv.sample(rng) for _ in range(k)]
+def _round_robin(pv: ProbabilityVector, m: int, evaluator: CachedEvaluator, rng: Rng):
+    """Sample m chromosomes; every pair i < j competes, in order: m(m-1)/2 updates."""
+    while True:
+        candidates = [pv.sample(rng) for _ in range(m)]
         fitnesses = [evaluator(c) for c in candidates]
-        for winner, loser in pairs(candidates, fitnesses):
-            pv.update(winner, loser)
-            if updates is not None:
-                updates.append((winner, loser))
-    return iterations
+        yield [
+            compete(candidates[i], fitnesses[i], candidates[j], fitnesses[j])
+            for i in range(m - 1)
+            for j in range(i + 1, m)
+        ]
 
 
-def _elitist_loop(
-    pv: ProbabilityVector,
-    eta: Optional[int],
-    evaluator: CachedEvaluator,
-    rng: Rng,
-    updates: Optional[list],
-) -> int:
+def _tournament(pv: ProbabilityVector, s: int, evaluator: CachedEvaluator, rng: Rng):
+    """Sample s chromosomes; the earliest-sampled maximum beats each of the others, in sampling order."""
+    while True:
+        candidates = [pv.sample(rng) for _ in range(s)]
+        fitnesses = [evaluator(c) for c in candidates]
+        best = max(range(s), key=fitnesses.__getitem__)
+        winner = candidates[best]
+        yield [(winner, c) for j, c in enumerate(candidates) if j != best]
+
+
+def _elitist(pv: ProbabilityVector, eta: Optional[int], evaluator: CachedEvaluator, rng: Rng):
     """The reigning elite meets one new challenger per iteration.
 
     The first sample stands in as elite with a survival count of -1, so the
@@ -140,29 +120,20 @@ def _elitist_loop(
     defenses, the next iteration still runs the normal competition and
     update, then installs that iteration's challenger as elite regardless of
     fitness; losing by fitness resets the survival count as well.
-
-    Returns the iteration count.
     """
-    iterations = 0
     elite = pv.sample(rng)
     elite_fitness = evaluator(elite)
     survivals = -1
-    while not pv.is_converged():
-        if iterations >= DEFAULT_ITERATION_CAP:
-            raise IterationLimitError(f"not converged after {iterations} iterations", iterations)
-        iterations += 1
+    while True:
         challenger = pv.sample(rng)
         challenger_fitness = evaluator(challenger)
         winner, loser = compete(elite, elite_fitness, challenger, challenger_fitness)
-        pv.update(winner, loser)
-        if updates is not None:
-            updates.append((winner, loser))
+        yield ((winner, loser),)
         if winner is elite and (eta is None or survivals < eta):
             survivals += 1
         else:
             elite, elite_fitness = challenger, challenger_fitness
             survivals = 0
-    return iterations
 
 
 @dataclass(frozen=True)
@@ -215,6 +186,11 @@ class Variant:
     ) -> RunStats:
         """Execute one run of this variant; ``trace=True`` records every update.
 
+        Each iteration first tests convergence, then the iteration cap
+        (``DEFAULT_ITERATION_CAP``, read when the check runs), then applies
+        every (winner, loser) pair that one step of the kind's generator
+        yields. A run that reaches the cap raises IterationLimitError.
+
         The harness passes length, population size, evaluator and RNG
         positionally, and the benchmark tracer reads them in that order.
         """
@@ -226,10 +202,20 @@ class Variant:
         updates = [] if trace else None
         if self.kind in ("pe-cga", "ne-cga"):
             eta = None if self.kind == "pe-cga" else self.eta or default_inheritance_length(population_size)
-            iterations = _elitist_loop(pv, eta, evaluator, rng, updates)
+            steps = _elitist(pv, eta, evaluator, rng)
+        elif self.kind == "cga-t":
+            steps = _tournament(pv, self.s, evaluator, rng)
         else:
-            pairs = _tournament_pairs if self.kind == "cga-t" else _round_robin_pairs
-            iterations = _sampled_loop(pv, self.s or self.m or 2, pairs, evaluator, rng, updates)
+            steps = _round_robin(pv, self.m or 2, evaluator, rng)
+        iterations = 0
+        while not pv.is_converged():
+            if iterations >= DEFAULT_ITERATION_CAP:
+                raise IterationLimitError(f"not converged after {iterations} iterations", iterations)
+            iterations += 1
+            for winner, loser in next(steps):
+                pv.update(winner, loser)
+                if updates is not None:
+                    updates.append((winner, loser))
         solution = pv.decode()
         misses = cache.misses - misses0
         return RunStats(

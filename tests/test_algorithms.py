@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -50,11 +51,36 @@ def test_argument_validation():
         Variant("ne-cga", eta=0).run(4, 10, no_cache(), Rng(0))
 
 
-def test_iteration_cap_raises(monkeypatch):
+ALL_VARIANTS = [
+    Variant("cga"),
+    Variant("cga-t", s=4),
+    Variant("cga-rr", m=4),
+    Variant("pe-cga"),
+    Variant("ne-cga", eta=2),
+]
+
+
+# lookups made by three iterations: k per iteration for the sampled kinds,
+# and the first elite plus one challenger per iteration for the elitist ones
+CAP_LOOKUPS = {"cga": 6, "cga-t": 12, "cga-rr": 12, "pe-cga": 4, "ne-cga": 4}
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.label)
+def test_iteration_cap_raises(monkeypatch, variant):
     monkeypatch.setattr(algorithms, "DEFAULT_ITERATION_CAP", 3)
+    ev = no_cache()
     with pytest.raises(IterationLimitError) as err:
-        Variant("cga").run(60, 60, no_cache(), Rng(1))
+        variant.run(60, 60, ev, Rng(1))
     assert err.value.iterations == 3
+    assert str(err.value) == "not converged after 3 iterations"
+    assert ev.cache.hits + ev.cache.misses == CAP_LOOKUPS[variant.kind]
+
+
+def test_iteration_limit_error_pickles():
+    err = pickle.loads(pickle.dumps(IterationLimitError("not converged after 3 iterations", 3)))
+    assert type(err) is IterationLimitError
+    assert str(err) == "not converged after 3 iterations"
+    assert err.iterations == 3
 
 
 def test_tournament_of_two_reduces_to_cga():
@@ -137,15 +163,6 @@ def test_trajectory_matches_rational_reference(kind, params, problem):
         assert as_tuples(stats) == updates
         assert final_pv_fractions(stats, n) == probs
         assert tuple(stats.solution.bits.tolist()) == ref.decode(probs)
-
-
-ALL_VARIANTS = [
-    Variant("cga"),
-    Variant("cga-t", s=4),
-    Variant("cga-rr", m=4),
-    Variant("pe-cga"),
-    Variant("ne-cga", eta=2),
-]
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.label)

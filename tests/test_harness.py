@@ -1,5 +1,6 @@
 import csv
 import os
+import pickle
 import subprocess
 import sys
 from dataclasses import asdict, fields
@@ -7,9 +8,11 @@ from dataclasses import asdict, fields
 import pytest
 
 import compactga
+from compactga import algorithms
 from compactga import (
     CellResult,
     ExperimentConfig,
+    IterationLimitError,
     Variant,
     run_cell,
     sweep,
@@ -448,6 +451,37 @@ def test_cli_names_the_cell_and_seed_of_a_value_error(nan_problem, tmp_path, cap
                  "--runs", "3", "--seed", "9", "--out", str(tmp_path / "r.csv")])
     assert code == 2
     assert f"error: {NAN_PREFIX}" in capsys.readouterr().err
+
+
+CAP_MESSAGE = "pe-cga on onemax: bits=60 pop=60 capacity=4 run=0 seed=5: not converged after 3 iterations"
+
+
+@pytest.fixture
+def cap_of_three(monkeypatch):
+    monkeypatch.setattr(algorithms, "DEFAULT_ITERATION_CAP", 3)
+
+
+def test_run_cell_names_the_cell_and_seed_of_an_iteration_limit_error(cap_of_three):
+    config = small_config(variant=Variant("pe-cga"), bits=60, n_values=(60,), base_seed=5)
+    with pytest.raises(IterationLimitError) as err:
+        run_cell(config, 60, 4)
+    assert str(err.value) == CAP_MESSAGE
+    assert err.value.iterations == 3
+    assert isinstance(err.value.__cause__, IterationLimitError)
+    assert str(err.value.__cause__) == "not converged after 3 iterations"
+    # pickles, so a multiprocessing pool can pass it back from a worker
+    copy = pickle.loads(pickle.dumps(err.value))
+    assert str(copy) == CAP_MESSAGE
+    assert copy.iterations == 3
+
+
+def test_cli_names_the_cell_and_seed_of_an_iteration_limit_error(cap_of_three, tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    code = main(["--algo", "pe-cga", "--bits", "60", "--pop", "60", "--cache", "4",
+                 "--runs", "1", "--seed", "5", "--out", str(out)])
+    assert code == 2
+    assert f"error: {CAP_MESSAGE}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_ne_cga_default_eta_resolves_per_population(tmp_path):
