@@ -22,60 +22,40 @@ def _integer(name: str, value) -> int:
 _BLOCK = 4096  # variates per read of the stream: 32 KB of float64
 _READ_AHEAD = 16 * _BLOCK  # variates per background read: 512 KB of float64
 
-# The reader thread of this process, as (pid that started it, queue of its
-# reads). The first read-ahead in a process starts the thread; a forked
-# child finds the parent's pid here, since the parent's thread does not
-# exist in the child, and its first read-ahead starts the child's own. Two
-# threads that start it at once may each make one: that costs an idle
-# thread and no draw, since an Rng has one read in flight at a time.
+# The reader thread of this process, as (pid that started it, queue of
+# (generator, out) requests). The first read-ahead in a process starts the
+# thread; a forked child finds the parent's pid here, since the parent's
+# thread does not exist in the child, and its first read-ahead starts the
+# child's own. Two threads that start it at once may each make one: that
+# costs an idle thread and no draw, since an Rng has one read in flight at
+# a time.
 _reads = None
 
 
-class _Read:
-    """The next `_READ_AHEAD` variates of `gen`, filled on the reader thread.
+def _read_ahead(gen: np.random.Generator):
+    """Queue a fill of the next `_READ_AHEAD` variates of `gen` on this
+    process's reader thread; return (this pid, the queue it puts them on)."""
+    global _reads
+    import queue  # here: a run that never reads ahead should not load it
 
-    A plain lock marks it done, rather than a ``concurrent.futures`` future,
-    so that the reader thread runs as little Python, which needs the GIL, as
-    it can: numpy drops the GIL while it fills. Only the process that
-    queued it, `pid`, has the thread that fills it.
-    """
-
-    __slots__ = ("gen", "pid", "done", "array", "error")
-
-    def __init__(self, gen: np.random.Generator):
-        global _reads
-        self.pid = os.getpid()
-        reads = _reads
-        if reads is None or reads[0] != self.pid:
-            import queue  # here: a run that never reads ahead should not load it
-
-            reads = _reads = (self.pid, queue.SimpleQueue())
-            threading.Thread(target=_fill_forever, args=(reads[1],), name="compactga-rng", daemon=True).start()
-        self.gen = gen
-        self.error = None
-        self.done = threading.Lock()
-        self.done.acquire()  # held until the reader thread has set `array` or `error`
-        reads[1].put(self)
-
-    def take(self) -> np.ndarray:
-        """Wait for the fill; return its variates, or raise what it raised."""
-        if self.pid != os.getpid():  # finished or not, so the outcome does not depend on timing
-            raise RuntimeError(f"Rng read ahead in process {self.pid} before a fork; make a new Rng in the child")
-        with self.done:
-            pass
-        if self.error is not None:
-            raise self.error
-        return self.array
+    pid, out = os.getpid(), queue.SimpleQueue()
+    reads = _reads
+    if reads is None or reads[0] != pid:
+        reads = _reads = (pid, queue.SimpleQueue())
+        threading.Thread(target=_fill_forever, args=(reads[1],), name="compactga-rng", daemon=True).start()
+    reads[1].put((gen, out))
+    return pid, out
 
 
 def _fill_forever(reads) -> None:
+    # Bare queues, not a concurrent.futures.ThreadPoolExecutor(1): that reader
+    # measured long-genome wall_ref_s 2.49 -> 2.89 s, slower in 6 of 6 pairs.
     while True:
-        read = reads.get()
+        gen, out = reads.get()
         try:
-            read.array = read.gen.random(_READ_AHEAD)
-        except Exception as exc:  # raised again by take, in the thread that waits for it
-            read.error = exc
-        read.done.release()
+            out.put(gen.random(_READ_AHEAD))
+        except Exception as exc:  # raised again where the stream is drawn
+            out.put(exc)
 
 
 class Rng:
@@ -93,15 +73,18 @@ class Rng:
     chromosome of at least 4096 genes) switches the ``Rng`` to reading
     ahead for the rest of its life. From then on one background thread,
     shared by every ``Rng`` of the process, makes all of its reads, each of
-    ``_READ_AHEAD`` variates, and the next read is queued as soon as one is
+    ``_READ_AHEAD`` variates, and puts each on a ``queue.SimpleQueue`` that
+    the ``Rng`` takes it from. The next read is queued as soon as one is
     taken, so that PCG64 fills it, outside the GIL, while the run works on
     the last one. Reads still come from the one generator in stream order,
     so read-ahead changes no draw either. Such an ``Rng`` holds its current
-    read plus the one in flight: 1 MB of float64. Below the switch nothing
-    starts a thread. A forked child starts its own reader thread on its
-    first read-ahead. A reading-ahead ``Rng`` carried across a fork raises
-    RuntimeError at its next refill in the child, since the thread that
-    fills its read stays in the parent: make a new ``Rng`` in the child.
+    read plus the one in flight: 1 MB of float64. A read that raises puts
+    its exception on the queue instead, and every later refill raises it.
+    Below the switch nothing starts a thread. A forked child starts its own
+    reader thread on its first read-ahead. A reading-ahead ``Rng`` carried
+    across a fork raises RuntimeError at its next refill in the child,
+    whether or not its read has finished, since the thread that fills its
+    reads stays in the parent: make a new ``Rng`` in the child.
     """
 
     def __init__(self, seed: int):
@@ -111,7 +94,7 @@ class Rng:
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
         self._block = np.empty(0)
         self._pos = 0  # variates of _block already handed out
-        self._ahead = None  # the read in flight, once the Rng reads ahead
+        self._ahead = None  # (pid that queued the read in flight, its queue), once reading ahead
 
     def uniforms(self, count: int) -> np.ndarray:
         """Next `count` variates of ``Generator(PCG64(seed)).random``, each in [0, 1).
@@ -130,13 +113,20 @@ class Rng:
         need = end - len(block)
         if self._ahead is None and count >= _BLOCK:
             # from here on only the reader thread calls _gen, one read at a time
-            self._ahead = _Read(self._gen)
+            self._ahead = _read_ahead(self._gen)
         parts = [block[pos:]] if pos < len(block) else []
         while True:
             if self._ahead is None:
                 block = self._gen.random(max(need, _BLOCK))
             else:
-                block, self._ahead = self._ahead.take(), _Read(self._gen)
+                pid, out = self._ahead
+                if pid != os.getpid():  # finished or not, so the outcome does not depend on timing
+                    raise RuntimeError(f"Rng read ahead in process {pid} before a fork; make a new Rng in the child")
+                block = out.get()
+                if isinstance(block, Exception):
+                    out.put(block)  # so every later draw raises it too, rather than waiting forever
+                    raise block
+                self._ahead = _read_ahead(self._gen)
             if need <= len(block):
                 break
             parts.append(block)

@@ -135,7 +135,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         given = [(f"--{key}", getattr(args, key)) for key in ("config", "out", "trace")
                  if getattr(args, key) is not None]
         for (flag, path), (other, other_path) in itertools.combinations(given, 2):
-            if os.path.abspath(path) == os.path.abspath(other_path):
+            if os.path.realpath(path) == os.path.realpath(other_path):  # a symlink names its target
                 raise ValueError(f"{flag} and {other} name the same file: {path}")
         # found here, not when the CSV is opened after the whole sweep
         for flag, path in given:

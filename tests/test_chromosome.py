@@ -1,5 +1,6 @@
 import os
 import signal
+import subprocess
 import sys
 import threading
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import compactga
 from compactga import CachedEvaluator, Chromosome, FitnessCache, ProbabilityVector, Rng, Variant, chromosome, onemax
 from compactga.chromosome import _BLOCK, _READ_AHEAD
 
@@ -249,8 +251,7 @@ def test_a_read_carried_across_a_fork_raises_in_the_child(finished):
     rng = Rng(5)
     rng.uniforms(10_000)  # reads ahead: the next read is queued on this process's thread
     if finished:
-        with rng._ahead.done:
-            pass
+        rng._ahead[1].put(rng._ahead[1].get())
     pid = os.fork()
     if pid == 0:
         verdict = 1
@@ -265,6 +266,32 @@ def test_a_read_carried_across_a_fork_raises_in_the_child(finished):
             os._exit(verdict)
     _, status = os.waitpid(pid, 0)
     assert os.waitstatus_to_exitcode(status) == 0
+
+
+def run_python(code: str) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter that imports this checkout's compactga."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(compactga.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_every_rng_of_a_process_reads_ahead_on_one_thread():
+    # a fresh interpreter, so no reader thread of an earlier test is counted
+    proc = run_python(
+        "import threading\n"
+        "from compactga import Rng\n"
+        "for seed in range(5):\n"
+        "    Rng(seed).uniforms(10_000)\n"
+        "print(sum(thread.name == 'compactga-rng' for thread in threading.enumerate()))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1\n"
+
+
+def test_a_process_exits_with_a_read_in_flight():
+    proc = run_python("from compactga import Rng; Rng(1).uniforms(10_000)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
