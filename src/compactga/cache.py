@@ -10,6 +10,11 @@ The entries live in one ``collections.OrderedDict`` in eviction order: the
 front is the next victim and the rear is the newest (FIFO) or most recently
 used (LRU) entry. FIFO lookups never reorder it; an LRU hit moves the entry
 to the rear with ``move_to_end``, and eviction pops the front.
+
+The dict is keyed by each chromosome's packed bytes, not by the chromosome:
+bytes keep their hash and compare in C, so a lookup never calls back into
+Python for ``__hash__`` or ``__eq__``. Each entry stores ``(chromosome,
+value)``, so the chromosome itself is still there to list and to return.
 """
 
 from __future__ import annotations
@@ -18,8 +23,6 @@ import enum
 from collections import OrderedDict
 
 from .chromosome import Chromosome, _integer
-
-_MISSING = object()
 
 
 class CachePolicy(enum.Enum):
@@ -30,11 +33,15 @@ class CachePolicy(enum.Enum):
 
 
 class FitnessCache:
-    """Bounded key-value store with exact hit/miss accounting.
+    """Bounded chromosome-to-value store with exact hit/miss accounting.
 
     ``hits`` and ``misses`` together count every lookup exactly once. Two
     distinct keys with equal values are stored as separate entries; values
     are never deduplicated.
+
+    Entries are keyed by ``Chromosome.packed``. Packing pads the last byte
+    with zero bits, so ``"1"`` and ``"10"`` pack alike: one cache therefore
+    holds keys of one length, fixed by its first lookup that completes.
     """
 
     def __init__(self, capacity: int, policy: CachePolicy | str = CachePolicy.FIFO):
@@ -46,7 +53,8 @@ class FitnessCache:
         self.hits = 0
         self.misses = 0
         self._lru = self.policy is CachePolicy.LRU
-        self._entries: OrderedDict[Chromosome, object] = OrderedDict()
+        self._length = None  # of every key, once a lookup has completed
+        self._entries: OrderedDict[bytes, tuple[Chromosome, object]] = OrderedDict()
 
     def lookup(self, key: Chromosome, compute):
         """Value of `key`: the stored one on a hit, else ``compute(key)``, stored.
@@ -54,21 +62,26 @@ class FitnessCache:
         Counts one hit or one miss. A hit refreshes recency under LRU; a miss
         stores the value at the rear, evicting the front entry if the cache
         is full. If ``compute`` raises, the error propagates and nothing is
-        changed.
+        changed. A key whose length differs from that of the keys before it
+        raises ValueError, before anything is computed, counted or stored.
         """
-        value = self._entries.get(key, _MISSING)
-        if value is _MISSING:
+        if key.length != self._length and self._length is not None:
+            raise ValueError(f"this cache holds keys of length {self._length}, got one of length {key.length}")
+        packed = key.packed
+        entry = self._entries.get(packed)
+        if entry is None:
             value = compute(key)
             self.misses += 1
+            self._length = key.length
             if self.capacity:
                 if len(self._entries) == self.capacity:
                     self.evict_front()
-                self._entries[key] = value
-        else:
-            self.hits += 1
-            if self._lru:
-                self._entries.move_to_end(key)
-        return value
+                self._entries[packed] = (key, value)
+            return value
+        self.hits += 1
+        if self._lru:
+            self._entries.move_to_end(packed)
+        return entry[1]
 
     def evict_front(self) -> Chromosome:
         """Remove the entry next in eviction order and return its key.
@@ -77,7 +90,7 @@ class FitnessCache:
         """
         if not self._entries:
             raise IndexError("evict_front on an empty cache")
-        key, _ = self._entries.popitem(last=False)
+        _, (key, _) = self._entries.popitem(last=False)
         return key
 
     def dump(self) -> str:
@@ -85,7 +98,7 @@ class FitnessCache:
 
         The naive-model oracle compares caches through this listing.
         """
-        return "\n".join(f"{key},{value}" for key, value in self._entries.items())
+        return "\n".join(f"{key},{value}" for key, value in self._entries.values())
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -140,7 +140,7 @@ class Rng:
 
 
 class Chromosome:
-    """Immutable fixed-length bit string, hashable so it can key a cache.
+    """Immutable fixed-length bit string, hashable so it can key a dict.
 
     Bits are packed eight per byte (gene 0 in the most significant bit of
     byte 0), so equality, hashing and popcounts touch l/8 bytes rather than
@@ -152,10 +152,11 @@ class Chromosome:
     so writing to the caller's array, or to the base of a view, never
     changes a chromosome. It is the only way to build one, sampled
     chromosomes included, so the benchmark's timing of ``__init__`` covers
-    the packing and hashing of every chromosome a run makes.
+    the packing of every chromosome a run makes. The hash is that of
+    ``packed``, which bytes compute once and keep.
     """
 
-    __slots__ = ("packed", "length", "bits", "_hash")
+    __slots__ = ("packed", "length", "bits")
 
     def __init__(self, bits: np.ndarray):
         arr = np.asarray(bits)
@@ -172,7 +173,6 @@ class Chromosome:
         self.length: int = bits.shape[0]
         self.packed: bytes = np.packbits(bits).tobytes()
         self.bits: np.ndarray = bits
-        self._hash = hash(self.packed)  # "1" and "10" collide; __eq__ compares length
 
     @classmethod
     def from_text(cls, text: str) -> "Chromosome":
@@ -196,7 +196,7 @@ class Chromosome:
         return self.length == other.length and self.packed == other.packed
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.packed)  # "1" and "10" collide; __eq__ compares length
 
     def __len__(self) -> int:
         return self.length

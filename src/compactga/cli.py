@@ -121,6 +121,14 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     )
 
 
+def _same_file(path: str, other: str) -> bool:
+    """Whether two paths name one file: by inode when both exist, so a hard
+    link counts, else by resolved path, so a symlink names its target."""
+    if os.path.exists(path) and os.path.exists(other):
+        return os.path.samefile(path, other)
+    return os.path.realpath(path) == os.path.realpath(other)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
@@ -135,7 +143,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         given = [(f"--{key}", getattr(args, key)) for key in ("config", "out", "trace")
                  if getattr(args, key) is not None]
         for (flag, path), (other, other_path) in itertools.combinations(given, 2):
-            if os.path.realpath(path) == os.path.realpath(other_path):  # a symlink names its target
+            if _same_file(path, other_path):
                 raise ValueError(f"{flag} and {other} name the same file: {path}")
         # found here, not when the CSV is opened after the whole sweep
         for flag, path in given:

@@ -181,17 +181,18 @@ policies = st.sampled_from([CachePolicy.FIFO, CachePolicy.LRU])
 
 
 @settings(max_examples=120, deadline=None)
-@given(
-    policy=policies,
-    capacity=st.integers(0, 8),
-    indices=st.lists(st.integers(0, 63), max_size=200),
-)
-def test_matches_naive_model(policy, capacity, indices):
+@given(policy=policies, capacity=st.integers(0, 8), length=st.integers(1, 17), data=st.data())
+def test_matches_naive_model(policy, capacity, length, data):
+    # a few distinct keys of one length, so that lookups repeat; every length
+    # but 8 and 16 leaves zero padding in the last packed byte
+    values = data.draw(st.lists(st.integers(0, 2**length - 1), min_size=1, max_size=16, unique=True))
+    keys = [Chromosome.from_text(format(v, f"0{length}b")) for v in values]
+    indices = data.draw(st.lists(st.integers(0, len(keys) - 1), max_size=200))
     cache = FitnessCache(capacity, policy)
     ev = CachedEvaluator(lambda c: c.to_int() % 5, cache)
     naive = NaiveCache(capacity, lru=policy is CachePolicy.LRU)
     for i in indices:
-        key = chrom(i)
+        key = keys[i]
         hits_before = cache.hits
         value = ev(key)
         real_hit = cache.hits > hits_before
@@ -207,3 +208,63 @@ def test_matches_naive_model(policy, capacity, indices):
     assert (cache.hits, cache.misses) == (naive.hits, naive.misses)
     assert cache.hits + cache.misses == len(indices)
 
+
+def refuse(*args):
+    raise AssertionError("the cache called a key's __hash__ or __eq__")
+
+
+@pytest.mark.parametrize("policy", ["fifo", "lru"])
+def test_lookups_never_call_the_keys_hash_or_eq(monkeypatch, policy):
+    indices = [1, 2, 1, 3, 2, 4, 1, 1, 5, 3, 3]
+    # equal keys in new objects, as sampling makes them: a dict keyed by
+    # chromosomes would have to call __eq__ to tell them apart
+    lookups = [Chromosome.from_text(str(chrom(i))) for i in indices]
+    cache = FitnessCache(3, policy)
+    ev = CachedEvaluator(lambda c: c.to_int() % 5, cache)
+    with monkeypatch.context() as m:
+        m.setattr(Chromosome, "__hash__", refuse)
+        m.setattr(Chromosome, "__eq__", refuse)
+        outcomes = []
+        for key in lookups:
+            before = cache.hits
+            ev(key)
+            outcomes.append("hit" if cache.hits > before else "miss")
+        dump = cache.dump()
+        evicted = str(cache.evict_front())
+    assert "hit" in outcomes and cache.misses > cache.capacity  # so some lookup evicted
+    naive = NaiveCache(3, lru=policy == "lru")
+    naive_outcomes = []
+    for key in lookups:
+        before = naive.hits
+        naive.lookup_or_evaluate(key, lambda c: c.to_int() % 5)
+        naive_outcomes.append("hit" if naive.hits > before else "miss")
+    assert outcomes == naive_outcomes
+    assert dump == naive.dump()
+    assert (cache.hits, cache.misses) == (naive.hits, naive.misses)
+    assert evicted == str(naive.entries[0][0])
+
+
+@pytest.mark.parametrize("capacity", [0, 4])
+@pytest.mark.parametrize("policy", ["fifo", "lru"])
+def test_one_cache_holds_keys_of_one_length(policy, capacity):
+    # "1" and "10" both pack to b"\x80"
+    cache = FitnessCache(capacity, policy)
+    assert cache.lookup(Chromosome.from_text("1"), lambda key: 7) == 7
+    snapshot = (cache.hits, cache.misses, cache.dump())
+    with pytest.raises(ValueError, match="keys of length 1, got one of length 2"):
+        cache.lookup(Chromosome.from_text("10"), not_called)
+    assert (cache.hits, cache.misses, cache.dump()) == snapshot
+    assert cache.lookup(Chromosome.from_text("0"), lambda key: 3) == 3
+
+
+def test_a_failed_first_lookup_fixes_no_key_length():
+    cache = FitnessCache(2, "lru")
+
+    def explode(key):
+        raise RuntimeError("fitness unavailable")
+
+    with pytest.raises(RuntimeError):
+        cache.lookup(Chromosome.from_text("1"), explode)
+    assert cache.lookup(Chromosome.from_text("10"), lambda key: 2) == 2
+    assert cache.lookup(Chromosome.from_text("10"), not_called) == 2
+    assert (cache.hits, cache.misses) == (1, 1)

@@ -358,15 +358,21 @@ def test_cli_trace_writes_per_run_detail(tmp_path):
     assert [r["seed"] for r in rows] == ["5", "6", "7"]
 
 
-@pytest.mark.parametrize("trace", ["same.csv", "./same.csv", "{tmp}/same.csv", "link.csv"])
+@pytest.mark.parametrize("trace", ["same.csv", "./same.csv", "{tmp}/same.csv", "link.csv", "hard.csv"])
 def test_cli_rejects_out_and_trace_naming_one_file(tmp_path, monkeypatch, capsys, trace):
     monkeypatch.chdir(tmp_path)
     os.symlink("same.csv", "link.csv")  # names the same file as same.csv
+    if trace == "hard.csv":  # a hard link needs an existing file
+        (tmp_path / "same.csv").write_text("kept\n")
+        os.link("same.csv", "hard.csv")
     code = main(["--pop", "4", "--bits", "8", "--runs", "2", "--cache", "0,2",
                  "--out", "same.csv", "--trace", trace.format(tmp=tmp_path)])
     assert code == 2
     assert "error: --out and --trace name the same file: same.csv" in capsys.readouterr().err
-    assert not (tmp_path / "same.csv").exists()
+    if trace == "hard.csv":
+        assert (tmp_path / "same.csv").read_text() == "kept\n"
+    else:
+        assert not (tmp_path / "same.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -377,20 +383,22 @@ def test_cli_rejects_out_and_trace_naming_one_file(tmp_path, monkeypatch, capsys
         ("results.csv", "", [], "--out"),  # the default --out
         ("self.cfg", "out=self.cfg\n", [], "--out"),  # named by the file itself
         ("run.cfg", "", ["--out", "link.cfg"], "--out"),  # a symlink to the config
+        ("run.cfg", "", ["--out", "hard.cfg"], "--out"),  # a hard link to the config
     ],
-    ids=["out", "trace", "default-out", "out-in-file", "out-symlink"],
+    ids=["out", "trace", "default-out", "out-in-file", "out-symlink", "out-hardlink"],
 )
 def test_cli_never_overwrites_its_config_file(tmp_path, monkeypatch, capsys, name, extra, argv, other):
     monkeypatch.chdir(tmp_path)
     config = tmp_path / name
     config.write_text("bits=8\npop=4\ncache=0,2\nruns=2\n" + extra)
     os.symlink(name, "link.cfg")
+    os.link(name, "hard.cfg")
     before = config.read_bytes()
     code = main(["--config", name] + argv)
     assert code == 2
     assert f"error: --config and {other} name the same file: {name}" in capsys.readouterr().err
     assert config.read_bytes() == before
-    assert sorted(os.listdir(tmp_path)) == sorted([name, "link.cfg"])
+    assert sorted(os.listdir(tmp_path)) == sorted([name, "link.cfg", "hard.cfg"])
 
 
 @pytest.mark.parametrize("flag", ["--out", "--trace"])
