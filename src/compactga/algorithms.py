@@ -25,9 +25,10 @@ count) is identical whatever the cache capacity or policy.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .cache import CachedEvaluator
 from .chromosome import Chromosome, Rng, _integer
@@ -86,10 +87,10 @@ def default_inheritance_length(population_size: int) -> int:
     return max(1, math.ceil(population_size / 10))
 
 
-def _round_robin(pv: ProbabilityVector, m: int, evaluator: CachedEvaluator, rng: Rng):
+def _round_robin(sample, rng: Rng, m: int, evaluator: CachedEvaluator):
     """Sample m chromosomes; every pair i < j competes, in order: m(m-1)/2 updates."""
     while True:
-        candidates = [pv.sample(rng) for _ in range(m)]
+        candidates = [sample(rng) for _ in range(m)]
         fitnesses = [evaluator(c) for c in candidates]
         yield [
             compete(candidates[i], fitnesses[i], candidates[j], fitnesses[j])
@@ -98,17 +99,17 @@ def _round_robin(pv: ProbabilityVector, m: int, evaluator: CachedEvaluator, rng:
         ]
 
 
-def _tournament(pv: ProbabilityVector, s: int, evaluator: CachedEvaluator, rng: Rng):
+def _tournament(sample, rng: Rng, s: int, evaluator: CachedEvaluator):
     """Sample s chromosomes; the earliest-sampled maximum beats each of the others, in sampling order."""
     while True:
-        candidates = [pv.sample(rng) for _ in range(s)]
+        candidates = [sample(rng) for _ in range(s)]
         fitnesses = [evaluator(c) for c in candidates]
         best = max(range(s), key=fitnesses.__getitem__)
         winner = candidates[best]
         yield [(winner, c) for j, c in enumerate(candidates) if j != best]
 
 
-def _elitist(pv: ProbabilityVector, eta: Optional[int], evaluator: CachedEvaluator, rng: Rng):
+def _elitist(sample, rng: Rng, eta: Optional[int], evaluator: CachedEvaluator):
     """The reigning elite meets one new challenger per iteration.
 
     The first sample stands in as elite with a survival count of -1, so the
@@ -121,11 +122,11 @@ def _elitist(pv: ProbabilityVector, eta: Optional[int], evaluator: CachedEvaluat
     update, then installs that iteration's challenger as elite regardless of
     fitness; losing by fitness resets the survival count as well.
     """
-    elite = pv.sample(rng)
+    elite = sample(rng)
     elite_fitness = evaluator(elite)
     survivals = -1
     while True:
-        challenger = pv.sample(rng)
+        challenger = sample(rng)
         challenger_fitness = evaluator(challenger)
         winner, loser = compete(elite, elite_fitness, challenger, challenger_fitness)
         yield ((winner, loser),)
@@ -183,6 +184,7 @@ class Variant:
         rng: Rng,
         *,
         trace: bool = False,
+        sampler: Optional[Callable[[ProbabilityVector, Rng], Chromosome]] = None,
     ) -> RunStats:
         """Execute one run of this variant; ``trace=True`` records every update.
 
@@ -190,6 +192,13 @@ class Variant:
         (``DEFAULT_ITERATION_CAP``, read when the check runs), then applies
         every (winner, loser) pair that one step of the kind's generator
         yields. A run that reaches the cap raises IterationLimitError.
+
+        Every chromosome the run samples comes from ``sampler(pv, rng)``,
+        called with the run's vector and ``rng``; the default is
+        ``pv.sample(rng)``. ``harness.sweep`` passes a sampler that records
+        what one live run samples, and one that hands those chromosomes back
+        in order, drawing nothing, to replay the run at another capacity.
+        Everything else in the run is unchanged by it.
 
         The harness passes length, population size, evaluator and RNG
         positionally, and the benchmark tracer reads them in that order.
@@ -200,13 +209,15 @@ class Variant:
         cache = evaluator.cache
         hits0, misses0 = cache.hits, cache.misses
         updates = [] if trace else None
+        # sample(rng) gives the next chromosome; the default stays a bare bound method
+        sample = pv.sample if sampler is None else functools.partial(sampler, pv)
         if self.kind in ("pe-cga", "ne-cga"):
             eta = None if self.kind == "pe-cga" else self.eta or default_inheritance_length(population_size)
-            steps = _elitist(pv, eta, evaluator, rng)
+            steps = _elitist(sample, rng, eta, evaluator)
         elif self.kind == "cga-t":
-            steps = _tournament(pv, self.s, evaluator, rng)
+            steps = _tournament(sample, rng, self.s, evaluator)
         else:
-            steps = _round_robin(pv, self.m or 2, evaluator, rng)
+            steps = _round_robin(sample, rng, self.m or 2, evaluator)
         iterations = 0
         while not pv.is_converged():
             if iterations >= DEFAULT_ITERATION_CAP:

@@ -2,9 +2,11 @@
 
 Replicate r of every cell runs with seed base_seed + r. Cache operations do
 not draw from the RNG, so cells that differ only in capacity or policy share
-identical trajectories and their curves differ only through hit counts. The
-uncached evaluation count of a cell is hits + misses from the same runs; no
-separate uncached arm is executed.
+identical trajectories and their curves differ only through hit counts;
+``sweep`` therefore samples each replicate once, at its first capacity, and
+replays those samples at the others. The uncached evaluation count of a
+cell is hits + misses from the same runs; no separate uncached arm is
+executed.
 
 Aggregation sums hits and misses across replicates and computes ratio
 metrics from the sums, so the counter identities hold exactly on every
@@ -95,37 +97,102 @@ class CellResult:
 # RunStats fields that only the trajectory oracles read; a per-run row holds the others
 _TRAJECTORY_FIELDS = ("final_pv", "updates")
 
+# What one record may hold, and what each recorded chromosome costs: its
+# genes unpacked (length bytes) and packed (length // 8), plus about 230
+# bytes of objects: the Chromosome, its array header, its bytes header and a
+# list slot (tracemalloc, Python 3.11, numpy 2.4, l = 12 to 100). The largest
+# records measured are about 1.1 MB. cga with n=100 samples up to 3,358
+# chromosomes at onemax l=100 and up to 4,202 at binint l=30 (20 seeds
+# each), and no run of the benchmark's capacity-sweep grid samples more. The
+# bound keeps those grids, and grids several times larger, on the replay
+# path. What outgrows it is a long genome: cga at l=10000, n=60 samples about
+# 13,300 chromosomes, 153 MB. Such a run stops recording at the bound and
+# frees what it held, and its replicate runs live at every capacity, so a
+# sweep's peak memory rises by at most the bound.
+_CHROMOSOME_OVERHEAD = 232
+_RECORD_BYTES = 8 * 2**20
 
-def run_cell(
-    config: ExperimentConfig,
-    pop: int,
-    capacity: int,
-    per_run: Optional[list[dict]] = None,
-) -> CellResult:
-    """Run every replicate of one cell and aggregate the counters.
 
-    A replicate's IterationLimitError or ValueError is re-raised with the cell and seed in front.
+def _where(config: ExperimentConfig, pop: int, capacity: int, r: int) -> str:
+    return (f"{config.variant.label} on {config.problem}: bits={config.bits} "
+            f"pop={pop} capacity={capacity} run={r} seed={config.base_seed + r}")
+
+
+def _run(config: ExperimentConfig, fn, pop: int, capacity: int, r: int, sampler=None) -> RunStats:
+    """Run replicate r at one capacity with a fresh cache.
+
+    A run's IterationLimitError or ValueError is re-raised with the cell and seed in front.
     """
-    fn = fitness_function(config.problem)
-    runs = []
-    for r in range(config.runs):
-        seed = config.base_seed + r
-        evaluator = CachedEvaluator(fn, FitnessCache(capacity, config.policy))
-        where = (f"{config.variant.label} on {config.problem}: bits={config.bits} "
-                 f"pop={pop} capacity={capacity} run={r} seed={seed}")
-        try:
-            stats = config.variant.run(config.bits, pop, evaluator, Rng(seed))
-        except IterationLimitError as exc:
-            raise IterationLimitError(f"{where}: {exc}", exc.iterations) from exc
-        except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from exc
-        runs.append(stats)
-        if per_run is not None:
-            per_run.append({"pop": pop, "capacity": capacity, "run": r, "seed": seed,
-                            **{f.name: getattr(stats, f.name) for f in fields(RunStats)
-                               if f.name not in _TRAJECTORY_FIELDS}})
-    hits = sum(s.hits for s in runs)
-    misses = sum(s.misses for s in runs)
+    evaluator = CachedEvaluator(fn, FitnessCache(capacity, config.policy))
+    try:
+        return config.variant.run(config.bits, pop, evaluator, Rng(config.base_seed + r), sampler=sampler)
+    except IterationLimitError as exc:
+        raise IterationLimitError(f"{_where(config, pop, capacity, r)}: {exc}", exc.iterations) from exc
+    except ValueError as exc:
+        raise ValueError(f"{_where(config, pop, capacity, r)}: {exc}") from exc
+
+
+class _Recorder:
+    """Keeps, in order, the chromosomes that one live run samples.
+
+    ``sample`` is the run's sampler, and samples as the default does.
+    ``chromosomes`` becomes None, and stays None, once keeping the next
+    one would take the record past ``_RECORD_BYTES``.
+    """
+
+    def __init__(self, length: int):
+        self.chromosomes = []
+        self._room = _RECORD_BYTES // (length + length // 8 + _CHROMOSOME_OVERHEAD)
+
+    def sample(self, pv, rng):
+        chromosome = pv.sample(rng)
+        kept = self.chromosomes
+        if kept is not None:
+            if len(kept) < self._room:
+                kept.append(chromosome)
+            else:
+                self.chromosomes = None  # frees the record
+        return chromosome
+
+
+def _replay(config: ExperimentConfig, fn, pop: int, capacity: int, r: int,
+            live_capacity: int, chromosomes: list, live: RunStats) -> RunStats:
+    """Run replicate r at `capacity` on the chromosomes its live run sampled, drawing nothing.
+
+    The run must ask for every recorded chromosome and no more, and end
+    with the live run's iteration count and vector; otherwise RuntimeError
+    names the cell and seed.
+    """
+    diverged = RuntimeError(
+        f"{_where(config, pop, capacity, r)}: the run differs from the same replicate at "
+        f"capacity {live_capacity}, although a cache never changes a run; "
+        f"the fitness function must return one value per chromosome"
+    )
+    rest = iter(chromosomes)
+
+    def sample(pv, rng):
+        chromosome = next(rest, None)
+        if chromosome is None:
+            raise diverged
+        return chromosome
+
+    stats = _run(config, fn, pop, capacity, r, sample)
+    if next(rest, None) is not None or stats.iterations != live.iterations or stats.final_pv != live.final_pv:
+        raise diverged
+    return stats
+
+
+def _row(config: ExperimentConfig, pop: int, capacity: int, r: int, stats: RunStats) -> dict:
+    """The per-run CSV row of one run."""
+    return {"pop": pop, "capacity": capacity, "run": r, "seed": config.base_seed + r,
+            **{f.name: getattr(stats, f.name) for f in fields(RunStats)
+               if f.name not in _TRAJECTORY_FIELDS}}
+
+
+def _cell(config: ExperimentConfig, pop: int, capacity: int, rows: list[dict]) -> CellResult:
+    """Aggregate the per-run rows of one cell, in run order."""
+    hits = sum(row["hits"] for row in rows)
+    misses = sum(row["misses"] for row in rows)
     return CellResult(
         algo=config.variant.label,
         problem=config.problem,
@@ -134,25 +201,81 @@ def run_cell(
         policy=config.policy.value,
         capacity=capacity,
         runs=config.runs,
-        iterations_mean=sum(s.iterations for s in runs) / config.runs,
+        iterations_mean=sum(row["iterations"] for row in rows) / config.runs,
         hits_sum=hits,
         misses_sum=misses,
         neval_nocache=hits + misses,
         neval_cache=misses,
         speedup=metrics.speedup(hits + misses, misses),
-        speedup_mean_of_runs=sum(metrics.speedup(s.hits + s.misses, s.misses) for s in runs) / config.runs,
+        speedup_mean_of_runs=sum(metrics.speedup(row["hits"] + row["misses"], row["misses"])
+                                 for row in rows) / config.runs,
         hitratio_pct=100.0 * metrics.hitratio(hits, misses),
         reduction_pct=metrics.reduction_pct(hits, misses),
     )
 
 
+def run_cell(
+    config: ExperimentConfig,
+    pop: int,
+    capacity: int,
+    per_run: Optional[list[dict]] = None,
+) -> CellResult:
+    """Run every replicate of one cell live and aggregate the counters.
+
+    A replicate's IterationLimitError or ValueError is re-raised with the cell and seed in front.
+    """
+    fn = fitness_function(config.problem)
+    rows = [_row(config, pop, capacity, r, _run(config, fn, pop, capacity, r))
+            for r in range(config.runs)]
+    if per_run is not None:
+        per_run.extend(rows)
+    return _cell(config, pop, capacity, rows)
+
+
 def sweep(config: ExperimentConfig, per_run: Optional[list[dict]] = None) -> list[CellResult]:
     """Run every cell of the sweep and return the cells in (pop, capacity) order.
 
-    ``ExperimentConfig`` sorts and deduplicates both axes, so the loop order is that order.
+    ``ExperimentConfig`` sorts and deduplicates both axes, so that is the
+    order of its axes. Each (pop, replicate) runs live once, at the first
+    capacity, and records the chromosomes it samples. At every other
+    capacity it runs again through the same ``Variant.run`` loop, with its
+    own fresh cache, on those chromosomes: every lookup, fitness call on a
+    miss, competition, update and convergence test still runs, so each
+    cell comes from real runs, but nothing is sampled twice. The loop still
+    runs because the benchmark's traced check counts its runs and
+    convergence tests; ROADMAP item 2 skips it once that check changes.
+
+    A replay that does not use up exactly the recorded chromosomes, or does
+    not end with the live run's iteration count and vector, raises
+    RuntimeError naming the cell and seed. A record that would pass
+    ``_RECORD_BYTES`` is dropped, and that replicate runs live at every
+    capacity.
+
+    Replicates run one at a time, so one record is held at a time. Cells and
+    per-run rows are still emitted in (pop, capacity, run) order, and since a
+    failure does not depend on the capacity, the first error raised is the
+    one that ``run_cell`` over the cells in that order raises.
     """
-    return [run_cell(config, pop, capacity, per_run)
-            for pop in config.n_values for capacity in config.capacities]
+    fn = fitness_function(config.problem)
+    first, *others = config.capacities
+    cells = []
+    for pop in config.n_values:
+        rows = {capacity: [] for capacity in config.capacities}
+        for r in range(config.runs):
+            recorder = _Recorder(config.bits)
+            live = _run(config, fn, pop, first, r, recorder.sample if others else None)
+            rows[first].append(_row(config, pop, first, r, live))
+            for capacity in others:
+                if recorder.chromosomes is None:
+                    stats = _run(config, fn, pop, capacity, r)
+                else:
+                    stats = _replay(config, fn, pop, capacity, r, first, recorder.chromosomes, live)
+                rows[capacity].append(_row(config, pop, capacity, r, stats))
+        for capacity in config.capacities:
+            if per_run is not None:
+                per_run.extend(rows[capacity])
+            cells.append(_cell(config, pop, capacity, rows[capacity]))
+    return cells
 
 
 def write_csv(rows: list[dict], path: str) -> None:

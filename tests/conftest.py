@@ -7,7 +7,7 @@ weakening any check.
 
 import pytest
 
-from compactga import ExperimentConfig, Variant, run_cell
+from compactga import ExperimentConfig, Variant, sweep
 
 
 class CellRunner:
@@ -19,22 +19,28 @@ class CellRunner:
         """Aggregate of one replicated cell, plus the largest per-run iteration count."""
         key = (variant, problem, bits, pop, capacity, str(policy), runs, base_seed)
         if key not in self._memo:
-            config = ExperimentConfig(
-                variant=variant,
-                problem=problem,
-                bits=bits,
-                n_values=(pop,),
-                capacities=(capacity,),
-                policy=policy,
-                runs=runs,
-                base_seed=base_seed,
-            )
-            per_run = []
-            cell = run_cell(config, pop, capacity, per_run)
-            iteration_max = max(row["iterations"] for row in per_run)
-            self.max_iterations = max(self.max_iterations, iteration_max)
-            self._memo[key] = (cell, iteration_max)
+            self.sweep(variant, problem, bits, pop, (capacity,), policy, runs, base_seed)
         return self._memo[key]
+
+    def sweep(self, variant: Variant, problem, bits, pop, capacities, policy, runs, base_seed=1):
+        """Memoize the cells at every capacity from one ``sweep`` call, which
+        samples each replicate once and replays it at the other capacities."""
+        config = ExperimentConfig(
+            variant=variant,
+            problem=problem,
+            bits=bits,
+            n_values=(pop,),
+            capacities=capacities,
+            policy=policy,
+            runs=runs,
+            base_seed=base_seed,
+        )
+        per_run = []
+        for cell in sweep(config, per_run):
+            iteration_max = max(row["iterations"] for row in per_run if row["capacity"] == cell.capacity)
+            self.max_iterations = max(self.max_iterations, iteration_max)
+            key = (variant, problem, bits, pop, cell.capacity, str(policy), runs, base_seed)
+            self._memo[key] = (cell, iteration_max)
 
 
 @pytest.fixture(scope="session")

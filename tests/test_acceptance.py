@@ -226,6 +226,7 @@ def test_criterion_5_capacity_trends(cell_runner):
     details = []
     ok = True
     for problem in ("onemax", "binint"):
+        cell_runner.sweep(Variant("cga"), problem, BITS[problem], POP, SWEEP_CAPACITIES, "fifo", SWEEP_RUNS)
         speedups = []
         for capacity in SWEEP_CAPACITIES:
             cell, _ = cell_runner.cell(
