@@ -25,10 +25,9 @@ count) is identical whatever the cache capacity or policy.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .cache import CachedEvaluator
 from .chromosome import Chromosome, Rng, _integer
@@ -184,21 +183,23 @@ class Variant:
         rng: Rng,
         *,
         trace: bool = False,
-        sampler: Optional[Callable[[ProbabilityVector, Rng], Chromosome]] = None,
+        steps: Optional[Callable[[ProbabilityVector, Rng, CachedEvaluator], Iterator]] = None,
     ) -> RunStats:
         """Execute one run of this variant; ``trace=True`` records every update.
 
         Each iteration first tests convergence, then the iteration cap
         (``DEFAULT_ITERATION_CAP``, read when the check runs), then applies
-        every (winner, loser) pair that one step of the kind's generator
-        yields. A run that reaches the cap raises IterationLimitError.
+        every (winner, loser) pair that the next step of
+        ``steps(pv, rng, evaluator)`` yields. A run that reaches the cap
+        raises IterationLimitError.
 
-        Every chromosome the run samples comes from ``sampler(pv, rng)``,
-        called with the run's vector and ``rng``; the default is
-        ``pv.sample(rng)``. ``harness.sweep`` passes a sampler that records
-        what one live run samples, and one that hands those chromosomes back
-        in order, drawing nothing, to replay the run at another capacity.
-        Everything else in the run is unchanged by it.
+        ``steps`` defaults to the kind's generator, which samples from the
+        run's vector ``pv`` with ``rng`` and evaluates through ``evaluator``.
+        ``harness.sweep`` passes one that records what a live run looks up
+        and applies, and one that replays such a record at another capacity:
+        it looks the recorded chromosomes up through ``evaluator`` and yields
+        the recorded pairs, sampling and competing nothing. The loop, the
+        updates and the convergence tests are the same either way.
 
         The harness passes length, population size, evaluator and RNG
         positionally, and the benchmark tracer reads them in that order.
@@ -209,21 +210,13 @@ class Variant:
         cache = evaluator.cache
         hits0, misses0 = cache.hits, cache.misses
         updates = [] if trace else None
-        # sample(rng) gives the next chromosome; the default stays a bare bound method
-        sample = pv.sample if sampler is None else functools.partial(sampler, pv)
-        if self.kind in ("pe-cga", "ne-cga"):
-            eta = None if self.kind == "pe-cga" else self.eta or default_inheritance_length(population_size)
-            steps = _elitist(sample, rng, eta, evaluator)
-        elif self.kind == "cga-t":
-            steps = _tournament(sample, rng, self.s, evaluator)
-        else:
-            steps = _round_robin(sample, rng, self.m or 2, evaluator)
+        source = (self._steps if steps is None else steps)(pv, rng, evaluator)
         iterations = 0
         while not pv.is_converged():
             if iterations >= DEFAULT_ITERATION_CAP:
                 raise IterationLimitError(f"not converged after {iterations} iterations", iterations)
             iterations += 1
-            for winner, loser in next(steps):
+            for winner, loser in next(source):
                 pv.update(winner, loser)
                 if updates is not None:
                     updates.append((winner, loser))
@@ -239,3 +232,12 @@ class Variant:
             final_pv=pv.numerators,
             updates=updates,
         )
+
+    def _steps(self, pv: ProbabilityVector, rng: Rng, evaluator: Callable[[Chromosome], object]):
+        """The kind's step generator for one run on `pv`, sampling with ``pv.sample(rng)``."""
+        if self.kind in ("pe-cga", "ne-cga"):
+            eta = None if self.kind == "pe-cga" else self.eta or default_inheritance_length(pv.population_size)
+            return _elitist(pv.sample, rng, eta, evaluator)
+        if self.kind == "cga-t":
+            return _tournament(pv.sample, rng, self.s, evaluator)
+        return _round_robin(pv.sample, rng, self.m or 2, evaluator)

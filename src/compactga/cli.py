@@ -17,7 +17,7 @@ from dataclasses import asdict
 from typing import Optional, Sequence
 
 from .algorithms import VARIANT_KINDS, VARIANT_PARAMETERS, IterationLimitError, Variant
-from .harness import ExperimentConfig, sweep, write_csv
+from .harness import ExperimentConfig, _Diverged, sweep, write_csv
 from .problems import DEFAULT_BITS, FITNESS_FUNCTIONS
 
 # s for cga-t and m for cga-rr when the flag is not given
@@ -158,7 +158,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         write_csv([asdict(cell) for cell in cells], args.out)
         if args.trace:
             write_csv(per_run, args.trace)
-    except (ValueError, OSError, IterationLimitError) as exc:
+    except (ValueError, OSError, IterationLimitError, _Diverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"wrote {args.out} ({len(cells)} cells, {config.runs} runs each)")

@@ -3,10 +3,10 @@
 Replicate r of every cell runs with seed base_seed + r. Cache operations do
 not draw from the RNG, so cells that differ only in capacity or policy share
 identical trajectories and their curves differ only through hit counts;
-``sweep`` therefore samples each replicate once, at its first capacity, and
-replays those samples at the others. The uncached evaluation count of a
-cell is hits + misses from the same runs; no separate uncached arm is
-executed.
+``sweep`` therefore runs each replicate live once, at its first capacity,
+and replays that run's lookups and updates at the others. The uncached
+evaluation count of a cell is hits + misses from the same runs; no separate
+uncached arm is executed.
 
 Aggregation sums hits and misses across replicates and computes ratio
 metrics from the sums, so the counter identities hold exactly on every
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, fields
+from itertools import islice
 from typing import Optional
 
 from . import metrics
@@ -97,20 +98,27 @@ class CellResult:
 # RunStats fields that only the trajectory oracles read; a per-run row holds the others
 _TRAJECTORY_FIELDS = ("final_pv", "updates")
 
-# What one record may hold, and what each recorded chromosome costs: its
-# genes unpacked (length bytes) and packed (length // 8), plus about 230
-# bytes of objects: the Chromosome, its array header, its bytes header and a
-# list slot (tracemalloc, Python 3.11, numpy 2.4, l = 12 to 100). The largest
-# records measured are about 1.1 MB. cga with n=100 samples up to 3,358
-# chromosomes at onemax l=100 and up to 4,202 at binint l=30 (20 seeds
-# each), and no run of the benchmark's capacity-sweep grid samples more. The
-# bound keeps those grids, and grids several times larger, on the replay
-# path. What outgrows it is a long genome: cga at l=10000, n=60 samples about
+# What one record may hold, and what it costs. Each lookup keeps its
+# chromosome's genes unpacked (length bytes) and packed (length // 8), plus
+# up to 280 bytes of objects and slots: the Chromosome, its array and bytes
+# headers, a fitness value and the per-iteration counts (tracemalloc, Python
+# 3.11, numpy 2.4, all five kinds on onemax and binint at l = 12 to 100; an
+# elitist run on binint costs the most, 275). Each applied pair keeps two
+# list slots. cga with n=100 looks up to 3,358 chromosomes at onemax l=100
+# and up to 4,202 at binint l=30 (20 seeds each), records of 1.1 and 1.2 MB,
+# and no run of the benchmark's capacity-sweep grid looks up more. The bound
+# keeps those grids, and grids several times larger, on the replay path.
+# What outgrows it is a long genome: cga at l=10000, n=60 looks up about
 # 13,300 chromosomes, 153 MB. Such a run stops recording at the bound and
 # frees what it held, and its replicate runs live at every capacity, so a
 # sweep's peak memory rises by at most the bound.
-_CHROMOSOME_OVERHEAD = 232
+_LOOKUP_OVERHEAD = 280
+_PAIR_BYTES = 16
 _RECORD_BYTES = 8 * 2**20
+
+
+class _Diverged(RuntimeError):
+    """A replay looked up a fitness that its live run did not."""
 
 
 def _where(config: ExperimentConfig, pop: int, capacity: int, r: int) -> str:
@@ -118,68 +126,87 @@ def _where(config: ExperimentConfig, pop: int, capacity: int, r: int) -> str:
             f"pop={pop} capacity={capacity} run={r} seed={config.base_seed + r}")
 
 
-def _run(config: ExperimentConfig, fn, pop: int, capacity: int, r: int, sampler=None) -> RunStats:
+def _run(config: ExperimentConfig, fn, pop: int, capacity: int, r: int, rng: Rng, steps=None) -> RunStats:
     """Run replicate r at one capacity with a fresh cache.
 
-    A run's IterationLimitError or ValueError is re-raised with the cell and seed in front.
+    A run's IterationLimitError, ValueError or divergence is re-raised with the cell and seed in front.
     """
     evaluator = CachedEvaluator(fn, FitnessCache(capacity, config.policy))
     try:
-        return config.variant.run(config.bits, pop, evaluator, Rng(config.base_seed + r), sampler=sampler)
+        return config.variant.run(config.bits, pop, evaluator, rng, steps=steps)
     except IterationLimitError as exc:
         raise IterationLimitError(f"{_where(config, pop, capacity, r)}: {exc}", exc.iterations) from exc
     except ValueError as exc:
         raise ValueError(f"{_where(config, pop, capacity, r)}: {exc}") from exc
+    except _Diverged as exc:
+        raise _Diverged(f"{_where(config, pop, capacity, r)}: {exc}") from exc
 
 
-class _Recorder:
-    """Keeps, in order, the chromosomes that one live run samples.
+class _Record:
+    """What one live run looked up and applied, in order, in flat lists.
 
-    ``sample`` is the run's sampler, and samples as the default does.
-    ``chromosomes`` becomes None, and stays None, once keeping the next
-    one would take the record past ``_RECORD_BYTES``.
+    Lookup i asked for ``chromosomes[i]`` and got ``values[i]``, and pair j
+    was ``(winners[j], losers[j])``. Iteration t made the next
+    ``lookups[t]`` lookups and applied the next ``pairs[t]`` pairs.
+    ``record`` and ``replay`` are ``Variant.run`` step sources. Once the
+    record would pass ``_RECORD_BYTES``, ``dropped`` is set and the lists
+    are emptied.
     """
 
-    def __init__(self, length: int):
-        self.chromosomes = []
-        self._room = _RECORD_BYTES // (length + length // 8 + _CHROMOSOME_OVERHEAD)
+    def __init__(self, variant: Variant, length: int, capacity: int):
+        self.variant = variant
+        self.capacity = capacity
+        self.dropped = False
+        self.chromosomes, self.values, self.winners, self.losers = [], [], [], []
+        self.lookups, self.pairs = [], []
+        self._lookup_bytes = length + length // 8 + _LOOKUP_OVERHEAD
 
-    def sample(self, pv, rng):
-        chromosome = pv.sample(rng)
-        kept = self.chromosomes
-        if kept is not None:
-            if len(kept) < self._room:
-                kept.append(chromosome)
-            else:
-                self.chromosomes = None  # frees the record
-        return chromosome
+    def record(self, pv, rng, evaluator):
+        """The variant's own steps, recorded."""
+        chromosomes, values, winners, losers = self.chromosomes, self.values, self.winners, self.losers
+        keep = True
 
+        def lookup(chromosome):
+            value = evaluator(chromosome)
+            if keep:
+                chromosomes.append(chromosome)
+                values.append(value)
+            return value
 
-def _replay(config: ExperimentConfig, fn, pop: int, capacity: int, r: int,
-            live_capacity: int, chromosomes: list, live: RunStats) -> RunStats:
-    """Run replicate r at `capacity` on the chromosomes its live run sampled, drawing nothing.
+        looked = 0
+        for pairs in self.variant._steps(pv, rng, lookup):
+            if keep:
+                applied = len(winners)
+                for winner, loser in pairs:
+                    winners.append(winner)
+                    losers.append(loser)
+                self.lookups.append(len(chromosomes) - looked)
+                self.pairs.append(len(winners) - applied)
+                looked = len(chromosomes)
+                if looked * self._lookup_bytes + len(winners) * _PAIR_BYTES > _RECORD_BYTES:
+                    keep = False
+                    self.dropped = True
+                    for kept in (chromosomes, values, winners, losers, self.lookups, self.pairs):
+                        del kept[:]
+            yield pairs
 
-    The run must ask for every recorded chromosome and no more, and end
-    with the live run's iteration count and vector; otherwise RuntimeError
-    names the cell and seed.
-    """
-    diverged = RuntimeError(
-        f"{_where(config, pop, capacity, r)}: the run differs from the same replicate at "
-        f"capacity {live_capacity}, although a cache never changes a run; "
-        f"the fitness function must return one value per chromosome"
-    )
-    rest = iter(chromosomes)
+    def replay(self, pv, rng, evaluator):
+        """The recorded steps, each after its lookups through `evaluator`; draws nothing.
 
-    def sample(pv, rng):
-        chromosome = next(rest, None)
-        if chromosome is None:
-            raise diverged
-        return chromosome
-
-    stats = _run(config, fn, pop, capacity, r, sample)
-    if next(rest, None) is not None or stats.iterations != live.iterations or stats.final_pv != live.final_pv:
+        Raises _Diverged at the first fitness that differs from the record,
+        and if the run asks for more iterations than were recorded.
+        """
+        diverged = _Diverged(f"the run differs from the same replicate at capacity {self.capacity}, "
+                             f"although a cache never changes a run; the fitness function must "
+                             f"return one value per chromosome")
+        lookups = zip(self.chromosomes, self.values)
+        pairs = zip(self.winners, self.losers)
+        for looks, applies in zip(self.lookups, self.pairs):
+            for chromosome, value in islice(lookups, looks):
+                if evaluator(chromosome) != value:
+                    raise diverged
+            yield islice(pairs, applies)
         raise diverged
-    return stats
 
 
 def _row(config: ExperimentConfig, pop: int, capacity: int, r: int, stats: RunStats) -> dict:
@@ -225,7 +252,7 @@ def run_cell(
     A replicate's IterationLimitError or ValueError is re-raised with the cell and seed in front.
     """
     fn = fitness_function(config.problem)
-    rows = [_row(config, pop, capacity, r, _run(config, fn, pop, capacity, r))
+    rows = [_row(config, pop, capacity, r, _run(config, fn, pop, capacity, r, Rng(config.base_seed + r)))
             for r in range(config.runs)]
     if per_run is not None:
         per_run.extend(rows)
@@ -237,16 +264,18 @@ def sweep(config: ExperimentConfig, per_run: Optional[list[dict]] = None) -> lis
 
     ``ExperimentConfig`` sorts and deduplicates both axes, so that is the
     order of its axes. Each (pop, replicate) runs live once, at the first
-    capacity, and records the chromosomes it samples. At every other
+    capacity, and records each iteration's lookups, as (chromosome,
+    fitness), and the (winner, loser) pairs it applied. At every other
     capacity it runs again through the same ``Variant.run`` loop, with its
-    own fresh cache, on those chromosomes: every lookup, fitness call on a
-    miss, competition, update and convergence test still runs, so each
-    cell comes from real runs, but nothing is sampled twice. The loop still
-    runs because the benchmark's traced check counts its runs and
-    convergence tests; ROADMAP item 2 skips it once that check changes.
+    own fresh cache: each iteration looks the recorded chromosomes up
+    through that cache, so a miss still calls the fitness function, then
+    applies the recorded pairs. Every lookup, update and convergence test
+    still runs, so each cell comes from real runs, but nothing is sampled
+    or competed twice. The loop still runs because the benchmark's traced
+    check counts its runs and convergence tests; ROADMAP item 2 skips it
+    once that check changes.
 
-    A replay that does not use up exactly the recorded chromosomes, or does
-    not end with the live run's iteration count and vector, raises
+    A replay that looks up a fitness other than the recorded one raises
     RuntimeError naming the cell and seed. A record that would pass
     ``_RECORD_BYTES`` is dropped, and that replicate runs live at every
     capacity.
@@ -262,14 +291,15 @@ def sweep(config: ExperimentConfig, per_run: Optional[list[dict]] = None) -> lis
     for pop in config.n_values:
         rows = {capacity: [] for capacity in config.capacities}
         for r in range(config.runs):
-            recorder = _Recorder(config.bits)
-            live = _run(config, fn, pop, first, r, recorder.sample if others else None)
+            rng = Rng(config.base_seed + r)
+            record = _Record(config.variant, config.bits, first)
+            live = _run(config, fn, pop, first, r, rng, record.record if others else None)
             rows[first].append(_row(config, pop, first, r, live))
             for capacity in others:
-                if recorder.chromosomes is None:
-                    stats = _run(config, fn, pop, capacity, r)
-                else:
-                    stats = _replay(config, fn, pop, capacity, r, first, recorder.chromosomes, live)
+                if record.dropped:
+                    stats = _run(config, fn, pop, capacity, r, Rng(config.base_seed + r))
+                else:  # the replay draws nothing, so it may share the live run's Rng
+                    stats = _run(config, fn, pop, capacity, r, rng, record.replay)
                 rows[capacity].append(_row(config, pop, capacity, r, stats))
         for capacity in config.capacities:
             if per_run is not None:

@@ -1,8 +1,12 @@
-"""Capacity replay: a sweep samples each replicate once and replays it at the other capacities.
+"""Capacity replay: a sweep runs each replicate live once and replays it at the other capacities.
+
+The live run records each iteration's lookups and the (winner, loser) pairs
+it applied; a replay looks the recorded chromosomes up through its own
+cache and applies the recorded pairs, sampling and competing nothing.
 
 ``ENGINES`` names every sweep engine that must give exactly what live
-``run_cell`` calls give. Another engine joins the equivalence test by adding
-an entry there.
+``run_cell`` calls give. Another engine joins the equivalence tests, the
+fixed grid and the random configurations, by adding an entry there.
 """
 
 import csv
@@ -11,8 +15,11 @@ import os
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from compactga import ExperimentConfig, ProbabilityVector, Variant, cli, harness, run_cell, sweep
+from compactga import (ExperimentConfig, ProbabilityVector, Variant, algorithms, cli, harness,
+                       run_cell, sweep)
 from compactga.problems import FITNESS_FUNCTIONS
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
@@ -54,6 +61,54 @@ def test_sweep_equals_live_run_cell_at_every_capacity(engine, variant, problem, 
     assert len(rows) == len(live_rows) == 2 * 21 * 3
     for row, live in zip(rows, live_rows):
         assert row == live
+
+
+@st.composite
+def variants(draw):
+    kind = draw(st.sampled_from(algorithms.VARIANT_KINDS))
+    if kind == "cga-t":
+        return Variant(kind, s=draw(st.integers(2, 5)))
+    if kind == "cga-rr":
+        return Variant(kind, m=draw(st.integers(2, 5)))
+    if kind == "ne-cga":
+        return Variant(kind, eta=draw(st.none() | st.integers(1, 6)))
+    return Variant(kind)
+
+
+@st.composite
+def sweep_configs(draw):
+    runs = draw(st.integers(1, 3))
+    return ExperimentConfig(
+        variant=draw(variants()),
+        problem=draw(st.sampled_from(["onemax", "binint"])),
+        bits=draw(st.integers(1, 24)),
+        n_values=draw(st.lists(st.integers(2, 16), min_size=1, max_size=3, unique=True)),
+        capacities=draw(st.lists(st.integers(0, 40), min_size=1, max_size=5, unique=True)),
+        policy=draw(st.sampled_from(["fifo", "lru"])),
+        runs=runs,
+        base_seed=draw(st.integers(0, 2**64 - runs)),
+    )
+
+
+# derandomized, so every run of the suite draws the same configurations
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(config=sweep_configs())
+def test_every_engine_equals_live_run_cell_on_random_configs(config):
+    live_rows = []
+    live_cells = live_sweep(config, live_rows)
+    for engine in sorted(ENGINES):
+        rows = []
+        assert ENGINES[engine](config, rows) == live_cells, engine
+        assert rows == live_rows, engine
+    for pop in config.n_values:
+        # the trajectory, and so its length and its lookups, is the same at every capacity
+        assert len({(cell.iterations_mean, cell.neval_nocache) for cell in live_cells if cell.pop == pop}) == 1
+    if config.policy.value == "lru":
+        # LRU is a stack algorithm: a larger cache never misses more, run by run
+        for pop in config.n_values:
+            for r in range(config.runs):
+                misses = [row["misses"] for row in live_rows if (row["pop"], row["run"]) == (pop, r)]
+                assert misses == sorted(misses, reverse=True)
 
 
 def read_csv(path):
@@ -115,6 +170,35 @@ def test_a_three_capacity_sweep_samples_as_often_as_one_capacity(variant, sample
 
 
 @pytest.fixture
+def step_calls(monkeypatch):
+    """One entry per step that a kind's generator yields and per ``compete`` call."""
+    calls = []
+
+    def counted(kind):
+        def steps(*args):
+            for pairs in kind(*args):
+                calls.append(None)
+                yield pairs
+        return steps
+
+    for name in ("_round_robin", "_tournament", "_elitist"):
+        monkeypatch.setattr(algorithms, name, counted(getattr(algorithms, name)))
+    compete = algorithms.compete
+    monkeypatch.setattr(algorithms, "compete", lambda *args: calls.append(None) or compete(*args))
+    return calls
+
+
+@pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.label)
+def test_a_three_capacity_sweep_competes_as_often_as_one_capacity(variant, step_calls):
+    sweep(config_of(variant, capacities=(4,)))
+    one = len(step_calls)
+    step_calls.clear()
+    sweep(config_of(variant, capacities=(0, 4, 16)))
+    assert one > 0
+    assert len(step_calls) == one
+
+
+@pytest.fixture
 def flaky_problem(monkeypatch):
     """onemax plus a tenth of the number of calls so far, mod 3: a repeat call may differ."""
     calls = itertools.count()
@@ -128,6 +212,17 @@ def test_a_replay_that_diverges_raises_naming_the_cell_and_seed(flaky_problem):
     message = str(err.value)
     assert message.startswith("cga on flaky: bits=12 pop=8 capacity=4 run=0 seed=9: ")
     assert "capacity 0" in message
+
+
+def test_the_cli_reports_a_replay_that_diverges_as_an_error(flaky_problem, tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    code = cli.main(["--problem", "flaky", "--bits", "12", "--pop", "8", "--cache", "0,4",
+                     "--runs", "1", "--seed", "9", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cga on flaky: bits=12 pop=8 capacity=4 run=0 seed=9: ")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_a_run_past_the_record_bound_runs_live_at_every_capacity(tmp_path, monkeypatch, sample_calls, capsys):
