@@ -196,10 +196,12 @@ class Variant:
         ``steps`` defaults to the kind's generator, which samples from the
         run's vector ``pv`` with ``rng`` and evaluates through ``evaluator``.
         ``harness.sweep`` passes one that records what a live run looks up
-        and applies, and one that replays such a record at another capacity:
-        it looks the recorded chromosomes up through ``evaluator`` and yields
-        the recorded pairs, sampling and competing nothing. The loop, the
-        updates and the convergence tests are the same either way.
+        and the vector after each iteration, and one that replays such a
+        record at another capacity: it looks the recorded chromosomes up
+        through ``evaluator``, loads the recorded vector into ``pv`` and
+        yields no pairs, sampling, competing and updating nothing, so a
+        replayed run records no ``updates``. The loop and the convergence
+        tests are the same either way.
 
         The harness passes length, population size, evaluator and RNG
         positionally, and the benchmark tracer reads them in that order.

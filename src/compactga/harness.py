@@ -4,7 +4,7 @@ Replicate r of every cell runs with seed base_seed + r. Cache operations do
 not draw from the RNG, so cells that differ only in capacity or policy share
 identical trajectories and their curves differ only through hit counts;
 ``sweep`` therefore runs each replicate live once, at its first capacity,
-and replays that run's lookups and updates at the others. The uncached
+and replays that run's lookups and vector states at the others. The uncached
 evaluation count of a cell is hits + misses from the same runs; no separate
 uncached arm is executed.
 
@@ -20,6 +20,8 @@ import csv
 from dataclasses import dataclass, fields
 from itertools import islice
 from typing import Optional
+
+import numpy as np
 
 from . import metrics
 from .algorithms import IterationLimitError, RunStats, Variant
@@ -98,22 +100,19 @@ class CellResult:
 # RunStats fields that only the trajectory oracles read; a per-run row holds the others
 _TRAJECTORY_FIELDS = ("final_pv", "updates")
 
-# What one record may hold, and what it costs. Each lookup keeps its
-# chromosome's genes unpacked (length bytes) and packed (length // 8), plus
-# up to 280 bytes of objects and slots: the Chromosome, its array and bytes
-# headers, a fitness value and the per-iteration counts (tracemalloc, Python
-# 3.11, numpy 2.4, all five kinds on onemax and binint at l = 12 to 100; an
-# elitist run on binint costs the most, 275). Each applied pair keeps two
-# list slots. cga with n=100 looks up to 3,358 chromosomes at onemax l=100
-# and up to 4,202 at binint l=30 (20 seeds each), records of 1.1 and 1.2 MB,
-# and no run of the benchmark's capacity-sweep grid looks up more. The bound
-# keeps those grids, and grids several times larger, on the replay path.
-# What outgrows it is a long genome: cga at l=10000, n=60 looks up about
-# 13,300 chromosomes, 153 MB. Such a run stops recording at the bound and
-# frees what it held, and its replicate runs live at every capacity, so a
-# sweep's peak memory rises by at most the bound.
+# What a record may hold, and what it costs (tracemalloc, Python 3.11, numpy
+# 2.4, all five kinds on onemax and binint at l = 12 to 100). A lookup keeps
+# its chromosome's genes unpacked and packed, plus up to 280 bytes of objects
+# and list slots (cga on binint costs the most, 276). An iteration keeps its
+# state, one byte a gene up to n = 127, plus 128 bytes of array header and
+# list slots. No record of the benchmark's capacity-sweep grid, or of cga at
+# n=100 on onemax l=100 or binint l=30 (20 seeds each), passes 1.7 MB. A long
+# genome outgrows the bound (cga at l=10000, n=60: about 13,300 lookups in
+# 6,650 iterations, 220 MB); such a run stops recording, frees what it held
+# and runs live at every capacity, so a sweep's peak memory rises by at most
+# the bound.
 _LOOKUP_OVERHEAD = 280
-_PAIR_BYTES = 16
+_STATE_OVERHEAD = 128
 _RECORD_BYTES = 8 * 2**20
 
 
@@ -143,69 +142,72 @@ def _run(config: ExperimentConfig, fn, pop: int, capacity: int, r: int, rng: Rng
 
 
 class _Record:
-    """What one live run looked up and applied, in order, in flat lists.
+    """What one live run looked up, and its vector after each iteration.
 
-    Lookup i asked for ``chromosomes[i]`` and got ``values[i]``, and pair j
-    was ``(winners[j], losers[j])``. Iteration t made the next
-    ``lookups[t]`` lookups and applied the next ``pairs[t]`` pairs.
-    ``record`` and ``replay`` are ``Variant.run`` step sources. Once the
-    record would pass ``_RECORD_BYTES``, ``dropped`` is set and the lists
-    are emptied.
+    Lookup i asked for ``chromosomes[i]`` and got ``values[i]``. Iteration t
+    made the next ``lookups[t]`` lookups and left the numerators at
+    ``states[t]``, in the smallest unsigned dtype that holds 2n, read-only
+    once ``finish`` adds the last. ``record`` and ``replay`` are
+    ``Variant.run`` step sources. Past ``_RECORD_BYTES``, ``dropped`` is set
+    and the lists are emptied.
     """
 
-    def __init__(self, variant: Variant, length: int, capacity: int):
+    def __init__(self, variant: Variant, length: int, population_size: int, capacity: int):
         self.variant = variant
         self.capacity = capacity
         self.dropped = False
-        self.chromosomes, self.values, self.winners, self.losers = [], [], [], []
-        self.lookups, self.pairs = [], []
+        self.chromosomes, self.values, self.lookups, self.states = [], [], [], []
+        self._dtype = np.min_scalar_type(2 * population_size)
         self._lookup_bytes = length + length // 8 + _LOOKUP_OVERHEAD
+        self._state_bytes = length * self._dtype.itemsize + _STATE_OVERHEAD
 
     def record(self, pv, rng, evaluator):
         """The variant's own steps, recorded."""
-        chromosomes, values, winners, losers = self.chromosomes, self.values, self.winners, self.losers
-        keep = True
+        chromosomes, values, lookups, states = self.chromosomes, self.values, self.lookups, self.states
 
         def lookup(chromosome):
             value = evaluator(chromosome)
-            if keep:
+            if not self.dropped:
                 chromosomes.append(chromosome)
                 values.append(value)
             return value
 
         looked = 0
         for pairs in self.variant._steps(pv, rng, lookup):
-            if keep:
-                applied = len(winners)
-                for winner, loser in pairs:
-                    winners.append(winner)
-                    losers.append(loser)
-                self.lookups.append(len(chromosomes) - looked)
-                self.pairs.append(len(winners) - applied)
+            if not self.dropped:
+                lookups.append(len(chromosomes) - looked)
                 looked = len(chromosomes)
-                if looked * self._lookup_bytes + len(winners) * _PAIR_BYTES > _RECORD_BYTES:
-                    keep = False
+                if looked * self._lookup_bytes + len(lookups) * self._state_bytes > _RECORD_BYTES:
                     self.dropped = True
-                    for kept in (chromosomes, values, winners, losers, self.lookups, self.pairs):
+                    for kept in (chromosomes, values, lookups, states):
                         del kept[:]
             yield pairs
+            if not self.dropped:  # resumed: the loop applied the pairs and starts the next iteration
+                states.append(pv._num.astype(self._dtype))
+
+    def finish(self, final_pv: tuple[int, ...]) -> None:
+        """Add the state the recorded run ended in, and make every state read-only."""
+        if self.lookups:
+            self.states.append(np.array(final_pv, self._dtype))
+            for state in self.states:
+                state.flags.writeable = False
 
     def replay(self, pv, rng, evaluator):
-        """The recorded steps, each after its lookups through `evaluator`; draws nothing.
+        """Each recorded iteration's lookups through `evaluator`, then its state loaded into `pv`.
 
-        Raises _Diverged at the first fitness that differs from the record,
-        and if the run asks for more iterations than were recorded.
+        Draws nothing and yields no pairs. Raises _Diverged at the first fitness
+        that differs from the record, and past the last recorded iteration.
         """
         diverged = _Diverged(f"the run differs from the same replicate at capacity {self.capacity}, "
                              f"although a cache never changes a run; the fitness function must "
                              f"return one value per chromosome")
         lookups = zip(self.chromosomes, self.values)
-        pairs = zip(self.winners, self.losers)
-        for looks, applies in zip(self.lookups, self.pairs):
+        for looks, state in zip(self.lookups, self.states):
             for chromosome, value in islice(lookups, looks):
                 if evaluator(chromosome) != value:
                     raise diverged
-            yield islice(pairs, applies)
+            pv._restore(state)
+            yield ()
         raise diverged
 
 
@@ -265,20 +267,17 @@ def sweep(config: ExperimentConfig, per_run: Optional[list[dict]] = None) -> lis
     ``ExperimentConfig`` sorts and deduplicates both axes, so that is the
     order of its axes. Each (pop, replicate) runs live once, at the first
     capacity, and records each iteration's lookups, as (chromosome,
-    fitness), and the (winner, loser) pairs it applied. At every other
-    capacity it runs again through the same ``Variant.run`` loop, with its
-    own fresh cache: each iteration looks the recorded chromosomes up
-    through that cache, so a miss still calls the fitness function, then
-    applies the recorded pairs. Every lookup, update and convergence test
-    still runs, so each cell comes from real runs, but nothing is sampled
-    or competed twice. The loop still runs because the benchmark's traced
-    check counts its runs and convergence tests; ROADMAP item 2 skips it
-    once that check changes.
+    fitness), and the vector it left. At every other capacity it runs again
+    through the same ``Variant.run`` loop, with its own fresh cache: each
+    iteration looks the recorded chromosomes up through that cache, so a
+    miss still calls the fitness function, then loads the recorded vector.
+    Nothing is sampled, competed or updated twice (a replayed run records no
+    ``updates``); the loop and its convergence tests still run because the
+    benchmark's traced check counts them (ROADMAP item 2).
 
     A replay that looks up a fitness other than the recorded one raises
-    RuntimeError naming the cell and seed. A record that would pass
-    ``_RECORD_BYTES`` is dropped, and that replicate runs live at every
-    capacity.
+    RuntimeError naming the cell and seed. A record past ``_RECORD_BYTES``
+    is dropped, and that replicate runs live at every capacity.
 
     Replicates run one at a time, so one record is held at a time. Cells and
     per-run rows are still emitted in (pop, capacity, run) order, and since a
@@ -292,8 +291,9 @@ def sweep(config: ExperimentConfig, per_run: Optional[list[dict]] = None) -> lis
         rows = {capacity: [] for capacity in config.capacities}
         for r in range(config.runs):
             rng = Rng(config.base_seed + r)
-            record = _Record(config.variant, config.bits, first)
+            record = _Record(config.variant, config.bits, pop, first)
             live = _run(config, fn, pop, first, r, rng, record.record if others else None)
+            record.finish(live.final_pv)
             rows[first].append(_row(config, pop, first, r, live))
             for capacity in others:
                 if record.dropped:

@@ -123,6 +123,16 @@ class ProbabilityVector:
         self._num = self._clamp[num]
         self._probs = None
 
+    def _restore(self, numerators: np.ndarray) -> None:
+        """Take `numerators`, a state an identical run reached, as the vector's own.
+
+        A capacity replay loads each recorded state this way. The array is
+        not copied: the record shares it read-only, so an :meth:`update` on
+        the restored vector raises instead of changing the record.
+        """
+        self._num = numerators
+        self._probs = None
+
     def is_converged(self) -> bool:
         """True iff every entry is exactly 0 or 1.
 

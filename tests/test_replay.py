@@ -1,8 +1,8 @@
 """Capacity replay: a sweep runs each replicate live once and replays it at the other capacities.
 
-The live run records each iteration's lookups and the (winner, loser) pairs
-it applied; a replay looks the recorded chromosomes up through its own
-cache and applies the recorded pairs, sampling and competing nothing.
+The live run records each iteration's lookups and the vector's numerators
+after it; a replay looks the recorded chromosomes up through its own cache
+and loads the recorded numerators, sampling, competing and updating nothing.
 
 ``ENGINES`` names every sweep engine that must give exactly what live
 ``run_cell`` calls give. Another engine joins the equivalence tests, the
@@ -18,9 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compactga import (ExperimentConfig, ProbabilityVector, Variant, algorithms, cli, harness,
-                       run_cell, sweep)
-from compactga.problems import FITNESS_FUNCTIONS
+from compactga import (CachedEvaluator, Chromosome, ExperimentConfig, FitnessCache, ProbabilityVector,
+                       Rng, Variant, algorithms, cli, harness, run_cell, sweep)
+from compactga.problems import FITNESS_FUNCTIONS, fitness_function
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -167,6 +167,56 @@ def test_a_three_capacity_sweep_samples_as_often_as_one_capacity(variant, sample
     sweep(config_of(variant, capacities=(0, 4, 16)))
     assert one > 0
     assert len(sample_calls) == one
+
+
+@pytest.fixture
+def update_calls(monkeypatch):
+    calls = []
+    original = ProbabilityVector.update
+
+    def counting(self, winner, loser):
+        calls.append(None)
+        return original(self, winner, loser)
+
+    monkeypatch.setattr(ProbabilityVector, "update", counting)
+    return calls
+
+
+@pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.label)
+def test_a_three_capacity_sweep_updates_as_often_as_one_capacity(variant, update_calls):
+    sweep(config_of(variant, capacities=(4,)))
+    one = len(update_calls)
+    update_calls.clear()
+    sweep(config_of(variant, capacities=(0, 4, 16)))
+    assert one > 0
+    assert len(update_calls) == one
+
+
+def test_a_record_of_one_byte_a_gene_keeps_ne_cga_at_l400_n100_on_the_replay_path(sample_calls):
+    # about 3 MB a record; with eight-byte numerators it would pass the 8 MB bound
+    sweep(config_of(Variant("ne-cga"), bits=400, n_values=(100,), capacities=(4,), runs=2))
+    one = len(sample_calls)
+    sample_calls.clear()
+    sweep(config_of(Variant("ne-cga"), bits=400, n_values=(100,), capacities=(0, 4), runs=2))
+    assert len(sample_calls) == one
+
+
+def test_an_update_on_a_replayed_vector_raises_and_leaves_the_record_as_it_was():
+    config = config_of(n_values=(8,), capacities=(0, 4), runs=1)
+    onemax = fitness_function("onemax")
+    record = harness._Record(config.variant, config.bits, 8, 0)
+    live = harness._run(config, onemax, 8, 0, 0, Rng(config.base_seed), record.record)
+    record.finish(live.final_pv)
+    assert len(record.states) == live.iterations
+    assert tuple(record.states[-1].tolist()) == live.final_pv
+    states = [state.copy() for state in record.states]
+    pv = ProbabilityVector(config.bits, 8)
+    replay = record.replay(pv, None, CachedEvaluator(onemax, FitnessCache(4, "fifo")))
+    assert list(next(replay)) == []
+    assert pv.numerators == tuple(states[0].tolist())
+    with pytest.raises(ValueError, match="read-only"):
+        pv.update(Chromosome([1] * config.bits), Chromosome([0] * config.bits))
+    assert all((state == kept).all() for state, kept in zip(record.states, states, strict=True))
 
 
 @pytest.fixture
