@@ -86,7 +86,7 @@ def default_inheritance_length(population_size: int) -> int:
     return max(1, math.ceil(population_size / 10))
 
 
-def _round_robin(sample, rng: Rng, m: int, evaluator: CachedEvaluator):
+def _round_robin(sample, rng: Rng, m: int, evaluator: Callable[[Chromosome], object]):
     """Sample m chromosomes; every pair i < j competes, in order: m(m-1)/2 updates."""
     while True:
         candidates = [sample(rng) for _ in range(m)]
@@ -98,7 +98,7 @@ def _round_robin(sample, rng: Rng, m: int, evaluator: CachedEvaluator):
         ]
 
 
-def _tournament(sample, rng: Rng, s: int, evaluator: CachedEvaluator):
+def _tournament(sample, rng: Rng, s: int, evaluator: Callable[[Chromosome], object]):
     """Sample s chromosomes; the earliest-sampled maximum beats each of the others, in sampling order."""
     while True:
         candidates = [sample(rng) for _ in range(s)]
@@ -108,7 +108,7 @@ def _tournament(sample, rng: Rng, s: int, evaluator: CachedEvaluator):
         yield [(winner, c) for j, c in enumerate(candidates) if j != best]
 
 
-def _elitist(sample, rng: Rng, eta: Optional[int], evaluator: CachedEvaluator):
+def _elitist(sample, rng: Rng, eta: Optional[int], evaluator: Callable[[Chromosome], object]):
     """The reigning elite meets one new challenger per iteration.
 
     The first sample stands in as elite with a survival count of -1, so the
@@ -183,15 +183,15 @@ class Variant:
         rng: Rng,
         *,
         trace: bool = False,
-        steps: Optional[Callable[[ProbabilityVector, Rng, CachedEvaluator], Iterator]] = None,
+        steps: Optional[Callable[[ProbabilityVector, Rng, Callable[[Chromosome], object]], Iterator]] = None,
     ) -> RunStats:
         """Execute one run of this variant; ``trace=True`` records every update.
 
         Each iteration first tests convergence, then the iteration cap
         (``DEFAULT_ITERATION_CAP``, read when the check runs), then applies
         every (winner, loser) pair that the next step of
-        ``steps(pv, rng, evaluator)`` yields. A run that reaches the cap
-        raises IterationLimitError.
+        ``steps(pv, rng, evaluator.__call__)`` yields. A run that reaches
+        the cap raises IterationLimitError.
 
         ``steps`` defaults to the kind's generator, which samples from the
         run's vector ``pv`` with ``rng`` and evaluates through ``evaluator``.
@@ -212,7 +212,8 @@ class Variant:
         cache = evaluator.cache
         hits0, misses0 = cache.hits, cache.misses
         updates = [] if trace else None
-        source = (self._steps if steps is None else steps)(pv, rng, evaluator)
+        # calling the instance would go through its type's __call__ slot, about 80 ns more per lookup
+        source = (self._steps if steps is None else steps)(pv, rng, evaluator.__call__)
         iterations = 0
         while not pv.is_converged():
             if iterations >= DEFAULT_ITERATION_CAP:

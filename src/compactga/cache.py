@@ -1,4 +1,4 @@
-"""Capacity-bounded chromosome-to-fitness store with FIFO or LRU eviction.
+"""Capacity-bounded fitness store with FIFO or LRU eviction.
 
 The compact GA of Harik, Lobo & Goldberg (IEEE Trans. Evol. Comput., 1999)
 and the elitist forms of Ahn & Ramakrishna (IEEE Trans. Evol. Comput., 2003)
@@ -6,15 +6,20 @@ sample the same chromosomes more and more often as the probability vector
 converges, so a small cache in front of the fitness function saves
 evaluations without changing the run.
 
-The entries live in one ``collections.OrderedDict`` in eviction order: the
-front is the next victim and the rear is the newest (FIFO) or most recently
-used (LRU) entry. FIFO lookups never reorder it; an LRU hit moves the entry
-to the rear with ``move_to_end``, and eviction pops the front.
+``FitnessCache`` is the state: one ``collections.OrderedDict`` in eviction
+order, the counters, the capacity, the policy and the key length. The front
+of the dict is the next victim and the rear is the newest (FIFO) or most
+recently used (LRU) entry. ``CachedEvaluator.__call__`` does the whole
+lookup in its own frame: a hit enters no other Python function, and a miss
+enters only the fitness function, plus ``evict_front`` when the cache is
+full. FIFO lookups never reorder the dict; an LRU hit moves the entry to the
+rear with ``move_to_end``, and eviction pops the front.
 
-The dict is keyed by each chromosome's packed bytes, not by the chromosome:
-bytes keep their hash and compare in C, so a lookup never calls back into
-Python for ``__hash__`` or ``__eq__``. Each entry stores ``(chromosome,
-value)``, so the chromosome itself is still there to list and to return.
+The store is keyed by an opaque token and reads nothing of what it stores.
+The evaluator keys it by each chromosome's packed bytes: bytes keep their
+hash and compare in C, so a lookup never calls back into Python for
+``__hash__`` or ``__eq__``. Each entry stores ``(chromosome, value)``, so the
+chromosome itself is still there to list and to return.
 """
 
 from __future__ import annotations
@@ -33,13 +38,14 @@ class CachePolicy(enum.Enum):
 
 
 class FitnessCache:
-    """Bounded chromosome-to-value store with exact hit/miss accounting.
+    """Bounded token-to-(key, value) store with exact hit, miss and eviction counts.
 
-    ``hits`` and ``misses`` together count every lookup exactly once. Two
-    distinct keys with equal values are stored as separate entries; values
-    are never deduplicated.
+    ``hits`` and ``misses`` together count every lookup exactly once, and
+    ``evictions`` counts every entry removed to make room. Two distinct keys
+    with equal values are stored as separate entries; values are never
+    deduplicated. ``CachedEvaluator`` does the lookups.
 
-    Entries are keyed by ``Chromosome.packed``. Packing pads the last byte
+    The evaluator keys it by packed bytes, and packing pads the last byte
     with zero bits, so ``"1"`` and ``"10"`` pack alike: one cache therefore
     holds keys of one length, fixed by its first lookup that completes.
     """
@@ -52,49 +58,24 @@ class FitnessCache:
         self.policy = CachePolicy(policy)
         self.hits = 0
         self.misses = 0
+        self.evictions = 0
         self._lru = self.policy is CachePolicy.LRU
         self._length = None  # of every key, once a lookup has completed
-        self._entries: OrderedDict[bytes, tuple[Chromosome, object]] = OrderedDict()
+        self._entries: OrderedDict[object, tuple[object, object]] = OrderedDict()
 
-    def lookup(self, key: Chromosome, compute):
-        """Value of `key`: the stored one on a hit, else ``compute(key)``, stored.
-
-        Counts one hit or one miss. A hit refreshes recency under LRU; a miss
-        stores the value at the rear, evicting the front entry if the cache
-        is full. If ``compute`` raises, the error propagates and nothing is
-        changed. A key whose length differs from that of the keys before it
-        raises ValueError, before anything is computed, counted or stored.
-        """
-        if key.length != self._length and self._length is not None:
-            raise ValueError(f"this cache holds keys of length {self._length}, got one of length {key.length}")
-        packed = key.packed
-        entry = self._entries.get(packed)
-        if entry is None:
-            value = compute(key)
-            self.misses += 1
-            self._length = key.length
-            if self.capacity:
-                if len(self._entries) == self.capacity:
-                    self.evict_front()
-                self._entries[packed] = (key, value)
-            return value
-        self.hits += 1
-        if self._lru:
-            self._entries.move_to_end(packed)
-        return entry[1]
-
-    def evict_front(self) -> Chromosome:
-        """Remove the entry next in eviction order and return its key.
+    def evict_front(self):
+        """Remove the entry next in eviction order, count it and return its key.
 
         Its own method so that the benchmark tracer can count evictions.
         """
         if not self._entries:
             raise IndexError("evict_front on an empty cache")
+        self.evictions += 1
         _, (key, _) = self._entries.popitem(last=False)
         return key
 
     def dump(self) -> str:
-        """One '<bits>,<fitness>' line per entry, front to rear.
+        """One '<key>,<value>' line per entry, front to rear.
 
         The naive-model oracle compares caches through this listing.
         """
@@ -108,22 +89,39 @@ class CachedEvaluator:
     """Fitness source that answers from a cache and evaluates only on a miss.
 
     The cache's miss counter is the count of true fitness-function
-    invocations. If the fitness function raises, the error propagates and
-    neither the cache nor any counter is modified. A NaN fitness is rejected
-    the same way, with a ValueError: NaN has no order, so no competition
-    could rank it.
+    invocations. A hit refreshes recency under LRU; a miss stores the value
+    at the rear, evicting the front entry if the cache is full. If the
+    fitness function raises, the error propagates and neither the cache nor
+    any counter is modified. A NaN fitness is rejected the same way, with a
+    ValueError: NaN has no order, so no competition could rank it. So is a
+    chromosome whose length differs from that of the ones before it, before
+    anything is computed, counted or stored.
     """
 
     def __init__(self, fitness_fn, cache: FitnessCache):
         self.fitness_fn = fitness_fn
         self.cache = cache
 
-    def _evaluate(self, chromosome: Chromosome):
+    def __call__(self, chromosome: Chromosome):
+        """Fitness of `chromosome`, from cache when possible."""
+        cache = self.cache
+        if chromosome.length != cache._length and cache._length is not None:
+            raise ValueError(f"this cache holds keys of length {cache._length}, "
+                             f"got one of length {chromosome.length}")
+        packed = chromosome.packed
+        entry = cache._entries.get(packed)
+        if entry is not None:
+            cache.hits += 1
+            if cache._lru:
+                cache._entries.move_to_end(packed)
+            return entry[1]
         value = self.fitness_fn(chromosome)
         if value != value:  # only NaN differs from itself
             raise ValueError(f"fitness of {chromosome} is NaN")
+        cache.misses += 1
+        cache._length = chromosome.length
+        if cache.capacity:
+            if len(cache._entries) == cache.capacity:
+                cache.evict_front()
+            cache._entries[packed] = (chromosome, value)
         return value
-
-    def __call__(self, chromosome: Chromosome):
-        """Fitness of `chromosome`, from cache when possible."""
-        return self.cache.lookup(chromosome, self._evaluate)

@@ -3,11 +3,18 @@
 The acceptance criteria and the hierarchy test reuse several expensive
 50-run cells; running each once per session keeps the suite fast without
 weakening any check.
+
+CI runs pytest with ``--hypothesis-profile=ci``: every property test then
+draws the same examples on every run, keeps no example database, and has no
+deadline, since the hosts' speed drifts. Local runs keep the default profile.
 """
 
 import pytest
+from hypothesis import settings
 
 from compactga import ExperimentConfig, Variant, sweep
+
+settings.register_profile("ci", derandomize=True, database=None, deadline=None)
 
 
 class CellRunner:

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -14,10 +15,15 @@ def chrom(i):
     return KEYS[i]
 
 
+def lookup(cache, key, compute):
+    """One lookup of `key` in `cache`, through an evaluator that computes with `compute`."""
+    return CachedEvaluator(compute, cache)(key)
+
+
 def filled(policy, *indices, capacity=None):
     cache = FitnessCache(capacity if capacity is not None else len(indices), policy)
     for i in indices:
-        cache.lookup(chrom(i), lambda key, i=i: i * 10)
+        lookup(cache, chrom(i), lambda key, i=i: i * 10)
     return cache
 
 
@@ -71,7 +77,7 @@ def test_evict_front_returns_front_key():
 
 def test_evict_front_follows_lru_recency():
     cache = filled(CachePolicy.LRU, 1, 2, capacity=3)
-    assert cache.lookup(chrom(1), not_called) == 10  # hit moves key 1 to the rear
+    assert lookup(cache, chrom(1), not_called) == 10  # hit moves key 1 to the rear
     assert cache.evict_front() == chrom(2)
 
 
@@ -82,6 +88,22 @@ def test_counters_start_at_zero_and_accumulate():
     for i in (1, 2, 3, 1, 2):
         ev(chrom(i))
     assert (cache.hits, cache.misses) == (2, 3)
+
+
+@pytest.mark.parametrize("policy,indices,evictions", [
+    ("fifo", [1, 2, 3, 1], 2),
+    ("lru", [1, 2, 1, 3, 2], 2),
+    ("lru", [1, 1, 1], 0),
+])
+def test_evictions_count_every_entry_removed_to_make_room(policy, indices, evictions):
+    cache = FitnessCache(2, policy)
+    lookup_sequence(cache, lambda c: c.to_int(), indices)
+    assert cache.evictions == evictions == max(0, cache.misses - cache.capacity)
+    cache.evict_front()
+    assert cache.evictions == evictions + 1
+    uncached = FitnessCache(0, policy)
+    lookup_sequence(uncached, lambda c: c.to_int(), indices)
+    assert uncached.evictions == 0
 
 
 def test_counters_count_every_lookup_once():
@@ -119,8 +141,8 @@ def test_non_integral_capacity_rejected(capacity):
 
 def test_distinct_keys_with_equal_values_are_separate_entries():
     cache = FitnessCache(4, "fifo")
-    cache.lookup(chrom(2), lambda key: 7)
-    cache.lookup(chrom(3), lambda key: 7)
+    lookup(cache, chrom(2), lambda key: 7)
+    lookup(cache, chrom(3), lambda key: 7)
     assert len(cache) == 2
     assert cache.dump() == f"{chrom(2)},7\n{chrom(3)},7"
 
@@ -175,6 +197,38 @@ def test_lookup_or_evaluate_is_transparent():
         key = chrom(rnd.randrange(16))
         assert ev(key) == onemax(key)
     assert len(evaluated) == ev.cache.misses
+
+
+def frames_entered(call, *args):
+    """Name of each Python function that ``call(*args)`` enters, in order."""
+    entered = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        call(*args)
+    finally:
+        sys.setprofile(None)
+    return entered
+
+
+def seven(chromosome):
+    return 7
+
+
+@pytest.mark.parametrize("policy", ["fifo", "lru"])
+def test_a_hit_enters_one_python_frame_and_a_miss_only_the_fitness_function_besides(policy):
+    ev = CachedEvaluator(seven, FitnessCache(1, policy))
+    assert frames_entered(ev, chrom(1)) == ["__call__", "seven"]
+    assert frames_entered(ev, Chromosome.from_text(str(chrom(1)))) == ["__call__"]
+    assert frames_entered(ev, chrom(2)) == ["__call__", "seven", "evict_front"]
+    assert (ev.cache.hits, ev.cache.misses, ev.cache.evictions) == (1, 2, 1)
+    uncached = CachedEvaluator(seven, FitnessCache(0, policy))
+    assert frames_entered(uncached, chrom(1)) == ["__call__", "seven"]
+    assert frames_entered(uncached, chrom(1)) == ["__call__", "seven"]
 
 
 policies = st.sampled_from([CachePolicy.FIFO, CachePolicy.LRU])
@@ -249,12 +303,12 @@ def test_lookups_never_call_the_keys_hash_or_eq(monkeypatch, policy):
 def test_one_cache_holds_keys_of_one_length(policy, capacity):
     # "1" and "10" both pack to b"\x80"
     cache = FitnessCache(capacity, policy)
-    assert cache.lookup(Chromosome.from_text("1"), lambda key: 7) == 7
+    assert lookup(cache, Chromosome.from_text("1"), lambda key: 7) == 7
     snapshot = (cache.hits, cache.misses, cache.dump())
     with pytest.raises(ValueError, match="keys of length 1, got one of length 2"):
-        cache.lookup(Chromosome.from_text("10"), not_called)
+        lookup(cache, Chromosome.from_text("10"), not_called)
     assert (cache.hits, cache.misses, cache.dump()) == snapshot
-    assert cache.lookup(Chromosome.from_text("0"), lambda key: 3) == 3
+    assert lookup(cache, Chromosome.from_text("0"), lambda key: 3) == 3
 
 
 def test_a_failed_first_lookup_fixes_no_key_length():
@@ -264,7 +318,7 @@ def test_a_failed_first_lookup_fixes_no_key_length():
         raise RuntimeError("fitness unavailable")
 
     with pytest.raises(RuntimeError):
-        cache.lookup(Chromosome.from_text("1"), explode)
-    assert cache.lookup(Chromosome.from_text("10"), lambda key: 2) == 2
-    assert cache.lookup(Chromosome.from_text("10"), not_called) == 2
+        lookup(cache, Chromosome.from_text("1"), explode)
+    assert lookup(cache, Chromosome.from_text("10"), lambda key: 2) == 2
+    assert lookup(cache, Chromosome.from_text("10"), not_called) == 2
     assert (cache.hits, cache.misses) == (1, 1)

@@ -309,3 +309,33 @@ def test_the_benchmark_tracer_counts_what_the_csv_counts(tmp_path, monkeypatch, 
     for key, metric in (("runs", "algorithms.runs"), ("hits", "cache.hits"),
                         ("misses", "cache.misses"), ("iterations", "algorithms.iterations")):
         assert layers[metric] == counted[key], metric
+
+
+def test_the_eviction_counter_and_the_tracer_count_every_eviction(tmp_path, monkeypatch, capsys):
+    """A run's cache starts empty and stores every miss, so it evicts
+    max(0, misses - capacity) entries; a live run and a replayed one alike."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    monkeypatch.delitem(sys.modules, "tracer", raising=False)
+    from tracer import Tracer
+
+    caches = []
+
+    def kept(capacity, policy):
+        caches.append(FitnessCache(capacity, policy))
+        return caches[-1]
+
+    monkeypatch.setattr(harness, "FitnessCache", kept)
+    trace = tmp_path / "r_runs.csv"
+    tracer = Tracer()
+    with tracer:
+        status = cli.main(["--algo", "ne-cga", "--problem", "binint", "--bits", "12", "--pop", "6,12",
+                           "--cache", "0,2,5", "--policy", "lru", "--runs", "3", "--seed", "4",
+                           "--out", str(tmp_path / "r.csv"), "--trace", str(trace)])
+    assert status == 0
+    header, *rows = read_csv(trace)
+    capacity, misses = header.index("capacity"), header.index("misses")
+    evictions = sum(max(0, int(row[misses]) - int(row[capacity])) for row in rows if int(row[capacity]))
+    assert len(caches) == len(rows) == 2 * 3 * 3
+    assert evictions > 0
+    assert tracer.layer_metrics()["cache.evictions"] == evictions
+    assert sum(cache.evictions for cache in caches) == evictions
