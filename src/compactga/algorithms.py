@@ -195,13 +195,13 @@ class Variant:
 
         ``steps`` defaults to the kind's generator, which samples from the
         run's vector ``pv`` with ``rng`` and evaluates through ``evaluator``.
-        ``harness.sweep`` passes one that records what a live run looks up
-        and the vector after each iteration, and one that replays such a
-        record at another capacity: it looks the recorded chromosomes up
-        through ``evaluator``, loads the recorded vector into ``pv`` and
-        yields no pairs, sampling, competing and updating nothing, so a
-        replayed run records no ``updates``. The loop and the convergence
-        tests are the same either way.
+        ``harness.sweep`` passes one that records what a live run looks up,
+        and one that replays such a record at another capacity: it looks
+        the recorded chromosomes up through ``evaluator``, yields no pairs
+        for as many iterations as the live run made, and loads the live
+        run's final vector into ``pv`` at the last. It samples, competes and
+        updates nothing, so a replayed run records no ``updates``. The loop
+        and the convergence tests are the same either way.
 
         The harness passes length, population size, evaluator and RNG
         positionally, and the benchmark tracer reads them in that order.

@@ -4,9 +4,9 @@ Replicate r of every cell runs with seed base_seed + r. Cache operations do
 not draw from the RNG, so cells that differ only in capacity or policy share
 identical trajectories and their curves differ only through hit counts;
 ``sweep`` therefore runs each replicate live once, at its first capacity,
-and replays that run's lookups and vector states at the others. The uncached
-evaluation count of a cell is hits + misses from the same runs; no separate
-uncached arm is executed.
+and replays that run's lookups at the others. The uncached evaluation count
+of a cell is hits + misses from the same runs; no separate uncached arm is
+executed.
 
 Aggregation sums hits and misses across replicates and computes ratio
 metrics from the sums, so the counter identities hold exactly on every
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, fields
-from itertools import islice
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -100,19 +100,16 @@ class CellResult:
 # RunStats fields that only the trajectory oracles read; a per-run row holds the others
 _TRAJECTORY_FIELDS = ("final_pv", "updates")
 
-# What a record may hold, and what it costs (tracemalloc, Python 3.11, numpy
-# 2.4, all five kinds on onemax and binint at l = 12 to 100). A lookup keeps
-# its chromosome's genes unpacked and packed, plus up to 280 bytes of objects
-# and list slots (cga on binint costs the most, 276). An iteration keeps its
-# state, one byte a gene up to n = 127, plus 128 bytes of array header and
-# list slots. No record of the benchmark's capacity-sweep grid, or of cga at
-# n=100 on onemax l=100 or binint l=30 (20 seeds each), passes 1.7 MB. A long
-# genome outgrows the bound (cga at l=10000, n=60: about 13,300 lookups in
-# 6,650 iterations, 220 MB); such a run stops recording, frees what it held
-# and runs live at every capacity, so a sweep's peak memory rises by at most
-# the bound.
+# What a record costs (tracemalloc, Python 3.11, numpy 2.4, all five kinds
+# on onemax l = 12 to 400 and binint l = 12 to 30, n = 10 and 100). A lookup
+# keeps its chromosome's genes unpacked and packed, plus 216 to 275 bytes of
+# objects and list slots; the most is onemax at l = 400. A record holds
+# nothing per iteration: cga on onemax at l=400, n=100 takes 4.4 MB, where
+# a vector state per iteration on top took 6.0 MB. A long genome outgrows
+# the bound (cga at l=10000, n=60: about 13,300 lookups, 150 MB); such a
+# run stops recording, frees what it held and runs live at every capacity,
+# so a sweep's peak memory rises by at most the bound.
 _LOOKUP_OVERHEAD = 280
-_STATE_OVERHEAD = 128
 _RECORD_BYTES = 8 * 2**20
 
 
@@ -142,72 +139,55 @@ def _run(config: ExperimentConfig, fn, pop: int, capacity: int, r: int, rng: Rng
 
 
 class _Record:
-    """What one live run looked up, and its vector after each iteration.
+    """What one live run looked up: lookup i asked for ``chromosomes[i]`` and got ``values[i]``.
 
-    Lookup i asked for ``chromosomes[i]`` and got ``values[i]``. Iteration t
-    made the next ``lookups[t]`` lookups and left the numerators at
-    ``states[t]``, in the smallest unsigned dtype that holds 2n, read-only
-    once ``finish`` adds the last. ``record`` and ``replay`` are
-    ``Variant.run`` step sources. Past ``_RECORD_BYTES``, ``dropped`` is set
+    ``record`` is a ``Variant.run`` step source, and so is ``replay`` once
+    given the live run's stats. Past ``_RECORD_BYTES``, ``dropped`` is set
     and the lists are emptied.
     """
 
-    def __init__(self, variant: Variant, length: int, population_size: int, capacity: int):
+    def __init__(self, variant: Variant, length: int, capacity: int):
         self.variant = variant
         self.capacity = capacity
         self.dropped = False
-        self.chromosomes, self.values, self.lookups, self.states = [], [], [], []
-        self._dtype = np.min_scalar_type(2 * population_size)
-        self._lookup_bytes = length + length // 8 + _LOOKUP_OVERHEAD
-        self._state_bytes = length * self._dtype.itemsize + _STATE_OVERHEAD
+        self.chromosomes, self.values = [], []
+        self._limit = _RECORD_BYTES // (length + length // 8 + _LOOKUP_OVERHEAD)
 
     def record(self, pv, rng, evaluator):
-        """The variant's own steps, recorded."""
-        chromosomes, values, lookups, states = self.chromosomes, self.values, self.lookups, self.states
+        """The variant's own steps, with each lookup recorded."""
+        chromosomes, values, limit = self.chromosomes, self.values, self._limit
 
         def lookup(chromosome):
             value = evaluator(chromosome)
             if not self.dropped:
-                chromosomes.append(chromosome)
-                values.append(value)
+                if len(chromosomes) == limit:
+                    self.dropped = True
+                    del chromosomes[:], values[:]
+                else:
+                    chromosomes.append(chromosome)
+                    values.append(value)
             return value
 
-        looked = 0
-        for pairs in self.variant._steps(pv, rng, lookup):
-            if not self.dropped:
-                lookups.append(len(chromosomes) - looked)
-                looked = len(chromosomes)
-                if looked * self._lookup_bytes + len(lookups) * self._state_bytes > _RECORD_BYTES:
-                    self.dropped = True
-                    for kept in (chromosomes, values, lookups, states):
-                        del kept[:]
-            yield pairs
-            if not self.dropped:  # resumed: the loop applied the pairs and starts the next iteration
-                states.append(pv._num.astype(self._dtype))
+        return self.variant._steps(pv, rng, lookup)
 
-    def finish(self, final_pv: tuple[int, ...]) -> None:
-        """Add the state the recorded run ended in, and make every state read-only."""
-        if self.lookups:
-            self.states.append(np.array(final_pv, self._dtype))
-            for state in self.states:
-                state.flags.writeable = False
+    def replay(self, live: RunStats, pv, rng, evaluator):
+        """The recorded lookups through `evaluator`, then one empty step per iteration of `live`.
 
-    def replay(self, pv, rng, evaluator):
-        """Each recorded iteration's lookups through `evaluator`, then its state loaded into `pv`.
-
-        Draws nothing and yields no pairs. Raises _Diverged at the first fitness
-        that differs from the record, and past the last recorded iteration.
+        Draws nothing and yields no pairs. `pv` stays at its start until the
+        last step loads ``live.final_pv`` into it. Raises _Diverged at the
+        first fitness that differs from the record, and past the last
+        iteration of `live`.
         """
         diverged = _Diverged(f"the run differs from the same replicate at capacity {self.capacity}, "
                              f"although a cache never changes a run; the fitness function must "
                              f"return one value per chromosome")
-        lookups = zip(self.chromosomes, self.values)
-        for looks, state in zip(self.lookups, self.states):
-            for chromosome, value in islice(lookups, looks):
-                if evaluator(chromosome) != value:
-                    raise diverged
-            pv._restore(state)
+        for chromosome, value in zip(self.chromosomes, self.values):
+            if evaluator(chromosome) != value:
+                raise diverged
+        for _ in range(live.iterations - 1):
             yield ()
+        pv._restore(np.array(live.final_pv))
+        yield ()
         raise diverged
 
 
@@ -266,13 +246,14 @@ def sweep(config: ExperimentConfig, per_run: Optional[list[dict]] = None) -> lis
 
     ``ExperimentConfig`` sorts and deduplicates both axes, so that is the
     order of its axes. Each (pop, replicate) runs live once, at the first
-    capacity, and records each iteration's lookups, as (chromosome,
-    fitness), and the vector it left. At every other capacity it runs again
-    through the same ``Variant.run`` loop, with its own fresh cache: each
-    iteration looks the recorded chromosomes up through that cache, so a
-    miss still calls the fitness function, then loads the recorded vector.
-    Nothing is sampled, competed or updated twice (a replayed run records no
-    ``updates``); the loop and its convergence tests still run because the
+    capacity, and records its lookups, as (chromosome, fitness), when the
+    sweep has another capacity. At every other capacity it runs again
+    through the same ``Variant.run`` loop, with its own fresh cache: the
+    first step looks every recorded chromosome up through that cache, so a
+    miss still calls the fitness function, and the step of the live run's
+    last iteration loads its final vector. Nothing is sampled, competed or
+    updated twice (a replayed run records no ``updates``); the loop and its
+    convergence tests still run, as many times as live, because the
     benchmark's traced check counts them (ROADMAP item 2).
 
     A replay that looks up a fitness other than the recorded one raises
@@ -291,15 +272,14 @@ def sweep(config: ExperimentConfig, per_run: Optional[list[dict]] = None) -> lis
         rows = {capacity: [] for capacity in config.capacities}
         for r in range(config.runs):
             rng = Rng(config.base_seed + r)
-            record = _Record(config.variant, config.bits, pop, first)
-            live = _run(config, fn, pop, first, r, rng, record.record if others else None)
-            record.finish(live.final_pv)
+            record = _Record(config.variant, config.bits, first) if others else None
+            live = _run(config, fn, pop, first, r, rng, record.record if record else None)
             rows[first].append(_row(config, pop, first, r, live))
             for capacity in others:
                 if record.dropped:
                     stats = _run(config, fn, pop, capacity, r, Rng(config.base_seed + r))
                 else:  # the replay draws nothing, so it may share the live run's Rng
-                    stats = _run(config, fn, pop, capacity, r, rng, record.replay)
+                    stats = _run(config, fn, pop, capacity, r, rng, partial(record.replay, live))
                 rows[capacity].append(_row(config, pop, capacity, r, stats))
         for capacity in config.capacities:
             if per_run is not None:

@@ -126,9 +126,8 @@ class ProbabilityVector:
     def _restore(self, numerators: np.ndarray) -> None:
         """Take `numerators`, a state an identical run reached, as the vector's own.
 
-        A capacity replay loads each recorded state this way. The array is
-        not copied: the record shares it read-only, so an :meth:`update` on
-        the restored vector raises instead of changing the record.
+        A capacity replay loads the live run's final state this way, as a
+        fresh array that nothing else holds, so it is not copied.
         """
         self._num = numerators
         self._probs = None

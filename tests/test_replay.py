@@ -1,8 +1,9 @@
 """Capacity replay: a sweep runs each replicate live once and replays it at the other capacities.
 
-The live run records each iteration's lookups and the vector's numerators
-after it; a replay looks the recorded chromosomes up through its own cache
-and loads the recorded numerators, sampling, competing and updating nothing.
+The live run records its lookups; a replay looks the recorded chromosomes
+up through its own cache, steps through as many iterations as the live run
+made and loads the live run's final numerators at the last, sampling,
+competing and updating nothing.
 
 ``ENGINES`` names every sweep engine that must give exactly what live
 ``run_cell`` calls give. Another engine joins the equivalence tests, the
@@ -192,31 +193,37 @@ def test_a_three_capacity_sweep_updates_as_often_as_one_capacity(variant, update
     assert len(update_calls) == one
 
 
-def test_a_record_of_one_byte_a_gene_keeps_ne_cga_at_l400_n100_on_the_replay_path(sample_calls):
-    # about 3 MB a record; with eight-byte numerators it would pass the 8 MB bound
-    sweep(config_of(Variant("ne-cga"), bits=400, n_values=(100,), capacities=(4,), runs=2))
+@pytest.mark.parametrize("bits", [400, 1000])
+def test_a_long_record_keeps_ne_cga_at_n100_on_the_replay_path(bits, sample_calls):
+    # a record holds lookups only, about 2 MB at l=400 and 5 MB at l=1000; a vector state per
+    # iteration on top took l=1000 past the 8 MB bound
+    sweep(config_of(Variant("ne-cga"), bits=bits, n_values=(100,), capacities=(4,), runs=2))
     one = len(sample_calls)
     sample_calls.clear()
-    sweep(config_of(Variant("ne-cga"), bits=400, n_values=(100,), capacities=(0, 4), runs=2))
+    sweep(config_of(Variant("ne-cga"), bits=bits, n_values=(100,), capacities=(0, 4), runs=2))
     assert len(sample_calls) == one
 
 
-def test_an_update_on_a_replayed_vector_raises_and_leaves_the_record_as_it_was():
+def test_an_update_on_a_replayed_vector_changes_neither_the_record_nor_a_later_replay():
     config = config_of(n_values=(8,), capacities=(0, 4), runs=1)
     onemax = fitness_function("onemax")
-    record = harness._Record(config.variant, config.bits, 8, 0)
+    record = harness._Record(config.variant, config.bits, 0)
     live = harness._run(config, onemax, 8, 0, 0, Rng(config.base_seed), record.record)
-    record.finish(live.final_pv)
-    assert len(record.states) == live.iterations
-    assert tuple(record.states[-1].tolist()) == live.final_pv
-    states = [state.copy() for state in record.states]
-    pv = ProbabilityVector(config.bits, 8)
-    replay = record.replay(pv, None, CachedEvaluator(onemax, FitnessCache(4, "fifo")))
-    assert list(next(replay)) == []
-    assert pv.numerators == tuple(states[0].tolist())
-    with pytest.raises(ValueError, match="read-only"):
-        pv.update(Chromosome([1] * config.bits), Chromosome([0] * config.bits))
-    assert all((state == kept).all() for state, kept in zip(record.states, states, strict=True))
+    assert len(record.values) == live.hits + live.misses
+    recorded = (list(record.chromosomes), list(record.values))
+
+    def replayed():
+        pv = ProbabilityVector(config.bits, 8)
+        steps = record.replay(live, pv, None, CachedEvaluator(onemax, FitnessCache(4, "fifo")))
+        assert [list(pairs) for pairs in itertools.islice(steps, live.iterations)] == [[]] * live.iterations
+        assert pv.numerators == live.final_pv
+        return pv
+
+    first = replayed()
+    first.update(Chromosome([0] * config.bits), Chromosome([1] * config.bits))
+    assert first.numerators != live.final_pv
+    assert (record.chromosomes, record.values) == recorded
+    assert replayed().numerators == live.final_pv
 
 
 @pytest.fixture
