@@ -66,7 +66,8 @@ class RunStats:
     is one more call, made directly on the decoded solution after the loop
     and counted nowhere, so a run calls the fitness function
     ``evaluations + 1`` times. ``final_pv`` (the vector's numerators) and
-    ``updates`` are what the trajectory oracles compare; ``updates`` holds
+    ``updates`` are what the trajectory oracles compare, and ``final_pv`` is
+    what a capacity replay loads (``harness.sweep``); ``updates`` holds
     the (winner, loser) pair of every probability-vector update when the run
     was traced, and is None otherwise.
     """
@@ -195,11 +196,11 @@ class Variant:
 
         ``steps`` defaults to the kind's generator, which samples from the
         run's vector ``pv`` with ``rng`` and evaluates through ``evaluator``.
-        ``harness.sweep`` passes one that records what a live run looks up,
-        and one that replays such a record at another capacity: it looks
-        the recorded chromosomes up through ``evaluator``, yields no pairs
-        for as many iterations as the live run made, and loads the live
-        run's final vector into ``pv`` at the last. It samples, competes and
+        ``harness.sweep`` passes one that looks each chromosome of a live
+        run up through the caches of the other capacities too, and one that
+        replays that run at another capacity: it yields no pairs for as
+        many iterations as the live run made, and loads the live run's final
+        vector into ``pv`` at the last. It samples, looks up, competes and
         updates nothing, so a replayed run records no ``updates``. The loop
         and the convergence tests are the same either way.
 

@@ -4,9 +4,10 @@ Replicate r of every cell runs with seed base_seed + r. Cache operations do
 not draw from the RNG, so cells that differ only in capacity or policy share
 identical trajectories and their curves differ only through hit counts;
 ``sweep`` therefore runs each replicate live once, at its first capacity,
-and replays that run's lookups at the others. The uncached evaluation count
-of a cell is hits + misses from the same runs; no separate uncached arm is
-executed.
+with every other capacity's cache looking up what that run looks up, and
+replays only its iterations and final vector at the others. The uncached
+evaluation count of a cell is hits + misses from the same runs; no
+separate uncached arm is executed.
 
 Aggregation sums hits and misses across replicates and computes ratio
 metrics from the sums, so the counter identities hold exactly on every
@@ -17,7 +18,7 @@ comparison.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from typing import Optional
 
@@ -97,24 +98,13 @@ class CellResult:
     reduction_pct: float
 
 
-# RunStats fields that only the trajectory oracles read; a per-run row holds the others
+# RunStats fields that a per-run row leaves out: the trajectory oracles read
+# both, and a replay loads the live run's final_pv
 _TRAJECTORY_FIELDS = ("final_pv", "updates")
-
-# What a record costs (tracemalloc, Python 3.11, numpy 2.4, all five kinds
-# on onemax l = 12 to 400 and binint l = 12 to 30, n = 10 and 100). A lookup
-# keeps its chromosome's genes unpacked and packed, plus 216 to 275 bytes of
-# objects and list slots; the most is onemax at l = 400. A record holds
-# nothing per iteration: cga on onemax at l=400, n=100 takes 4.4 MB, where
-# a vector state per iteration on top took 6.0 MB. A long genome outgrows
-# the bound (cga at l=10000, n=60: about 13,300 lookups, 150 MB); such a
-# run stops recording, frees what it held and runs live at every capacity,
-# so a sweep's peak memory rises by at most the bound.
-_LOOKUP_OVERHEAD = 280
-_RECORD_BYTES = 8 * 2**20
 
 
 class _Diverged(RuntimeError):
-    """A replay looked up a fitness that its live run did not."""
+    """A capacity's cache got a fitness that the live run's cache did not."""
 
 
 def _where(config: ExperimentConfig, pop: int, capacity: int, r: int) -> str:
@@ -122,73 +112,50 @@ def _where(config: ExperimentConfig, pop: int, capacity: int, r: int) -> str:
             f"pop={pop} capacity={capacity} run={r} seed={config.base_seed + r}")
 
 
-def _run(config: ExperimentConfig, fn, pop: int, capacity: int, r: int, rng: Rng, steps=None) -> RunStats:
-    """Run replicate r at one capacity with a fresh cache.
+def _run(config: ExperimentConfig, evaluator: CachedEvaluator, pop: int, r: int, rng: Rng, steps=None) -> RunStats:
+    """Run replicate r through `evaluator`.
 
-    A run's IterationLimitError, ValueError or divergence is re-raised with the cell and seed in front.
+    A run's IterationLimitError or ValueError is re-raised with the cell and seed in front.
     """
-    evaluator = CachedEvaluator(fn, FitnessCache(capacity, config.policy))
+    capacity = evaluator.cache.capacity
     try:
         return config.variant.run(config.bits, pop, evaluator, rng, steps=steps)
     except IterationLimitError as exc:
         raise IterationLimitError(f"{_where(config, pop, capacity, r)}: {exc}", exc.iterations) from exc
     except ValueError as exc:
         raise ValueError(f"{_where(config, pop, capacity, r)}: {exc}") from exc
-    except _Diverged as exc:
-        raise _Diverged(f"{_where(config, pop, capacity, r)}: {exc}") from exc
 
 
-class _Record:
-    """What one live run looked up: lookup i asked for ``chromosomes[i]`` and got ``values[i]``.
+def _followed(config: ExperimentConfig, pop: int, r: int, followers: list[CachedEvaluator], pv, rng, lookup):
+    """The variant's own steps, each lookup made through `lookup` and then through every follower.
 
-    ``record`` is a ``Variant.run`` step source, and so is ``replay`` once
-    given the live run's stats. Past ``_RECORD_BYTES``, ``dropped`` is set
-    and the lists are emptied.
+    Raises _Diverged, naming the follower's cell and seed, at the first
+    fitness that a follower gets and `lookup` did not.
     """
+    # bound once, as Variant.run binds its evaluator's: calling an instance costs more per lookup
+    calls = [(follower.__call__, follower.cache.capacity) for follower in followers]
 
-    def __init__(self, variant: Variant, length: int, capacity: int):
-        self.variant = variant
-        self.capacity = capacity
-        self.dropped = False
-        self.chromosomes, self.values = [], []
-        self._limit = _RECORD_BYTES // (length + length // 8 + _LOOKUP_OVERHEAD)
+    def lookup_all(chromosome):
+        value = lookup(chromosome)
+        for call, capacity in calls:
+            if call(chromosome) != value:
+                raise _Diverged(f"{_where(config, pop, capacity, r)}: the run differs from the same "
+                                f"replicate at capacity {config.capacities[0]}, although a cache never "
+                                f"changes a run; the fitness function must return one value per chromosome")
+        return value
 
-    def record(self, pv, rng, evaluator):
-        """The variant's own steps, with each lookup recorded."""
-        chromosomes, values, limit = self.chromosomes, self.values, self._limit
+    return config.variant._steps(pv, rng, lookup_all)
 
-        def lookup(chromosome):
-            value = evaluator(chromosome)
-            if not self.dropped:
-                if len(chromosomes) == limit:
-                    self.dropped = True
-                    del chromosomes[:], values[:]
-                else:
-                    chromosomes.append(chromosome)
-                    values.append(value)
-            return value
 
-        return self.variant._steps(pv, rng, lookup)
+def _replay(live: RunStats, pv, rng, lookup):
+    """One empty step per iteration of `live`, loading ``live.final_pv`` into `pv` before the last.
 
-    def replay(self, live: RunStats, pv, rng, evaluator):
-        """The recorded lookups through `evaluator`, then one empty step per iteration of `live`.
-
-        Draws nothing and yields no pairs. `pv` stays at its start until the
-        last step loads ``live.final_pv`` into it. Raises _Diverged at the
-        first fitness that differs from the record, and past the last
-        iteration of `live`.
-        """
-        diverged = _Diverged(f"the run differs from the same replicate at capacity {self.capacity}, "
-                             f"although a cache never changes a run; the fitness function must "
-                             f"return one value per chromosome")
-        for chromosome, value in zip(self.chromosomes, self.values):
-            if evaluator(chromosome) != value:
-                raise diverged
-        for _ in range(live.iterations - 1):
-            yield ()
-        pv._restore(np.array(live.final_pv))
+    Draws, looks up and yields nothing; the loaded vector is converged, so the loop asks for no more.
+    """
+    for _ in range(live.iterations - 1):
         yield ()
-        raise diverged
+    pv._restore(np.array(live.final_pv))
+    yield ()
 
 
 def _row(config: ExperimentConfig, pop: int, capacity: int, r: int, stats: RunStats) -> dict:
@@ -234,7 +201,8 @@ def run_cell(
     A replicate's IterationLimitError or ValueError is re-raised with the cell and seed in front.
     """
     fn = fitness_function(config.problem)
-    rows = [_row(config, pop, capacity, r, _run(config, fn, pop, capacity, r, Rng(config.base_seed + r)))
+    rows = [_row(config, pop, capacity, r, _run(config, CachedEvaluator(fn, FitnessCache(capacity, config.policy)),
+                                                pop, r, Rng(config.base_seed + r)))
             for r in range(config.runs)]
     if per_run is not None:
         per_run.extend(rows)
@@ -246,41 +214,45 @@ def sweep(config: ExperimentConfig, per_run: Optional[list[dict]] = None) -> lis
 
     ``ExperimentConfig`` sorts and deduplicates both axes, so that is the
     order of its axes. Each (pop, replicate) runs live once, at the first
-    capacity, and records its lookups, as (chromosome, fitness), when the
-    sweep has another capacity. At every other capacity it runs again
-    through the same ``Variant.run`` loop, with its own fresh cache: the
-    first step looks every recorded chromosome up through that cache, so a
-    miss still calls the fitness function, and the step of the live run's
-    last iteration loads its final vector. Nothing is sampled, competed or
-    updated twice (a replayed run records no ``updates``); the loop and its
-    convergence tests still run, as many times as live, because the
-    benchmark's traced check counts them (ROADMAP item 2).
+    capacity. When the sweep has other capacities, each gets a fresh cache
+    of its own, a follower, before the live run starts: every chromosome
+    the live run looks up, it looks up through its own cache and then
+    through each follower, so a follower's miss still calls the fitness
+    function, and its hits, misses and evaluations are those of a live run
+    at its capacity. Then each other capacity runs the same ``Variant.run``
+    loop through its follower with steps that sample, look up, compete and
+    update nothing (a replayed run records no ``updates``); the step of the
+    live run's last iteration loads its final vector, which gives the row
+    its iterations and solution. The loop and its convergence tests run as
+    many times as live, because the benchmark's traced check counts them
+    (ROADMAP item 1).
 
-    A replay that looks up a fitness other than the recorded one raises
-    RuntimeError naming the cell and seed. A record past ``_RECORD_BYTES``
-    is dropped, and that replicate runs live at every capacity.
+    A follower that gets a fitness other than the live run's raises
+    RuntimeError naming its cell and seed. Caches are the only state held
+    per capacity, and they share the live run's chromosomes.
 
-    Replicates run one at a time, so one record is held at a time. Cells and
-    per-run rows are still emitted in (pop, capacity, run) order, and since a
-    failure does not depend on the capacity, the first error raised is the
-    one that ``run_cell`` over the cells in that order raises.
+    Cells and per-run rows are emitted in (pop, capacity, run) order. The
+    live cache looks each chromosome up before the followers, and a failure
+    does not depend on the capacity, so the first error raised is the one
+    that ``run_cell`` over the cells in that order raises.
     """
     fn = fitness_function(config.problem)
-    first, *others = config.capacities
     cells = []
     for pop in config.n_values:
         rows = {capacity: [] for capacity in config.capacities}
         for r in range(config.runs):
             rng = Rng(config.base_seed + r)
-            record = _Record(config.variant, config.bits, first) if others else None
-            live = _run(config, fn, pop, first, r, rng, record.record if record else None)
-            rows[first].append(_row(config, pop, first, r, live))
-            for capacity in others:
-                if record.dropped:
-                    stats = _run(config, fn, pop, capacity, r, Rng(config.base_seed + r))
-                else:  # the replay draws nothing, so it may share the live run's Rng
-                    stats = _run(config, fn, pop, capacity, r, rng, partial(record.replay, live))
-                rows[capacity].append(_row(config, pop, capacity, r, stats))
+            evaluator, *followers = [CachedEvaluator(fn, FitnessCache(capacity, config.policy))
+                                     for capacity in config.capacities]
+            live = _run(config, evaluator, pop, r, rng,
+                        partial(_followed, config, pop, r, followers) if followers else None)
+            rows[evaluator.cache.capacity].append(_row(config, pop, evaluator.cache.capacity, r, live))
+            for follower in followers:
+                # the replay draws nothing, so it may share the live run's Rng
+                stats = _run(config, follower, pop, r, rng, partial(_replay, live))
+                cache = follower.cache  # its lookups were made during the live run
+                stats = replace(stats, hits=cache.hits, misses=cache.misses, evaluations=cache.misses)
+                rows[cache.capacity].append(_row(config, pop, cache.capacity, r, stats))
         for capacity in config.capacities:
             if per_run is not None:
                 per_run.extend(rows[capacity])

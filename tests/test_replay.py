@@ -1,9 +1,10 @@
 """Capacity replay: a sweep runs each replicate live once and replays it at the other capacities.
 
-The live run records its lookups; a replay looks the recorded chromosomes
-up through its own cache, steps through as many iterations as the live run
-made and loads the live run's final numerators at the last, sampling,
-competing and updating nothing.
+Each other capacity's cache follows the live run: it looks up every
+chromosome the live run looks up, as the live run looks it up. The replay
+then steps through as many iterations as the live run made and loads the
+live run's final numerators at the last, sampling, looking up, competing
+and updating nothing.
 
 ``ENGINES`` names every sweep engine that must give exactly what live
 ``run_cell`` calls give. Another engine joins the equivalence tests, the
@@ -193,10 +194,9 @@ def test_a_three_capacity_sweep_updates_as_often_as_one_capacity(variant, update
     assert len(update_calls) == one
 
 
-@pytest.mark.parametrize("bits", [400, 1000])
-def test_a_long_record_keeps_ne_cga_at_n100_on_the_replay_path(bits, sample_calls):
-    # a record holds lookups only, about 2 MB at l=400 and 5 MB at l=1000; a vector state per
-    # iteration on top took l=1000 past the 8 MB bound
+@pytest.mark.parametrize("bits", [400, 1000, 2000])
+def test_a_long_genome_keeps_ne_cga_at_n100_on_the_replay_path(bits, sample_calls):
+    # a sweep keeps nothing per lookup, so no genome length sends a replicate back to live runs
     sweep(config_of(Variant("ne-cga"), bits=bits, n_values=(100,), capacities=(4,), runs=2))
     one = len(sample_calls)
     sample_calls.clear()
@@ -204,26 +204,23 @@ def test_a_long_record_keeps_ne_cga_at_n100_on_the_replay_path(bits, sample_call
     assert len(sample_calls) == one
 
 
-def test_an_update_on_a_replayed_vector_changes_neither_the_record_nor_a_later_replay():
-    config = config_of(n_values=(8,), capacities=(0, 4), runs=1)
+def test_an_update_on_a_replayed_vector_changes_neither_the_live_run_nor_a_later_replay():
+    config = config_of(n_values=(8,), capacities=(0,), runs=1)
     onemax = fitness_function("onemax")
-    record = harness._Record(config.variant, config.bits, 0)
-    live = harness._run(config, onemax, 8, 0, 0, Rng(config.base_seed), record.record)
-    assert len(record.values) == live.hits + live.misses
-    recorded = (list(record.chromosomes), list(record.values))
+    live = harness._run(config, CachedEvaluator(onemax, FitnessCache(0, "fifo")), 8, 0, Rng(config.base_seed))
+    final = live.final_pv
 
     def replayed():
         pv = ProbabilityVector(config.bits, 8)
-        steps = record.replay(live, pv, None, CachedEvaluator(onemax, FitnessCache(4, "fifo")))
-        assert [list(pairs) for pairs in itertools.islice(steps, live.iterations)] == [[]] * live.iterations
-        assert pv.numerators == live.final_pv
+        assert [list(pairs) for pairs in harness._replay(live, pv, None, None)] == [[]] * live.iterations
+        assert pv.numerators == final
         return pv
 
     first = replayed()
     first.update(Chromosome([0] * config.bits), Chromosome([1] * config.bits))
-    assert first.numerators != live.final_pv
-    assert (record.chromosomes, record.values) == recorded
-    assert replayed().numerators == live.final_pv
+    assert first.numerators != final
+    assert live.final_pv == final
+    assert replayed().numerators == final
 
 
 @pytest.fixture
@@ -280,18 +277,6 @@ def test_the_cli_reports_a_replay_that_diverges_as_an_error(flaky_problem, tmp_p
     assert err.startswith("error: cga on flaky: bits=12 pop=8 capacity=4 run=0 seed=9: ")
     assert "Traceback" not in err
     assert not out.exists()
-
-
-def test_a_run_past_the_record_bound_runs_live_at_every_capacity(tmp_path, monkeypatch, sample_calls, capsys):
-    argv = ["--algo", "pe-cga", "--pop", "6,12", "--cache", "0,3,20", "--runs", "3", "--seed", "2"]
-    assert cli.main(argv + ["--out", str(tmp_path / "a.csv"), "--trace", str(tmp_path / "a_runs.csv")]) == 0
-    replayed = len(sample_calls)
-    sample_calls.clear()
-    monkeypatch.setattr(harness, "_RECORD_BYTES", 0)
-    assert cli.main(argv + ["--out", str(tmp_path / "b.csv"), "--trace", str(tmp_path / "b_runs.csv")]) == 0
-    assert len(sample_calls) == 3 * replayed
-    for a, b in (("a.csv", "b.csv"), ("a_runs.csv", "b_runs.csv")):
-        assert (tmp_path / a).read_bytes() == (tmp_path / b).read_bytes()
 
 
 def test_the_benchmark_tracer_counts_what_the_csv_counts(tmp_path, monkeypatch, capsys):
