@@ -77,12 +77,9 @@ class FitnessCache:
     def dump(self) -> str:
         """One '<key>,<value>' line per entry, front to rear.
 
-        The naive-model oracle compares caches through this listing.
+        The naive-model oracle compares caches, and the tests count residents, through this listing.
         """
         return "\n".join(f"{key},{value}" for key, value in self._entries.values())
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
 
 class CachedEvaluator:

@@ -174,13 +174,6 @@ class Chromosome:
         self.packed: bytes = np.packbits(bits).tobytes()
         self.bits: np.ndarray = bits
 
-    @classmethod
-    def from_text(cls, text: str) -> "Chromosome":
-        """Build from a '0'/'1' string, gene 0 first (the naive-cache oracle's keys)."""
-        if not text or any(ch not in "01" for ch in text):
-            raise ValueError(f"not a bit string: {text!r}")
-        return cls(np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0"))
-
     def ones(self) -> int:
         """Number of 1-alleles."""
         # packbits pads the tail with zero bits, so they never contribute

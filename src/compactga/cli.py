@@ -17,6 +17,7 @@ from dataclasses import asdict
 from typing import Optional, Sequence
 
 from .algorithms import VARIANT_KINDS, VARIANT_PARAMETERS, IterationLimitError, Variant
+from .cache import CachePolicy
 from .harness import ExperimentConfig, _Diverged, sweep, write_csv
 from .problems import DEFAULT_BITS, FITNESS_FUNCTIONS
 
@@ -81,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated population sizes (default %(default)s)")
     parser.add_argument("--cache", type=parse_int_list, metavar="LIST", default="20",
                         help="comma-separated cache capacities, 0 = no cache (default %(default)s)")
-    parser.add_argument("--policy", choices=["fifo", "lru"], default="fifo",
+    parser.add_argument("--policy", choices=[p.value for p in CachePolicy], default="fifo",
                         help="cache replacement policy (default %(default)s)")
     parser.add_argument("--runs", type=int, default=50,
                         help="replicates per cell (default %(default)s)")

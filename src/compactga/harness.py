@@ -44,6 +44,8 @@ class ExperimentConfig:
     base_seed: int
 
     def __post_init__(self):
+        if not isinstance(self.variant, Variant):
+            raise TypeError(f"variant: expected a Variant, got {self.variant!r}")
         fitness_function(self.problem)  # validates the name
         self.policy = CachePolicy(self.policy)
         self.bits = _integer("bits", self.bits)
@@ -130,7 +132,7 @@ def _followed(config: ExperimentConfig, pop: int, r: int, followers: list[Cached
     """The variant's own steps, each lookup made through `lookup` and then through every follower.
 
     Raises _Diverged, naming the follower's cell and seed, at the first
-    fitness that a follower gets and `lookup` did not.
+    fitness that a follower gets and `lookup` did not, NaN included.
     """
     # bound once, as Variant.run binds its evaluator's: calling an instance costs more per lookup
     calls = [(follower.__call__, follower.cache.capacity) for follower in followers]
@@ -138,10 +140,15 @@ def _followed(config: ExperimentConfig, pop: int, r: int, followers: list[Cached
     def lookup_all(chromosome):
         value = lookup(chromosome)
         for call, capacity in calls:
-            if call(chromosome) != value:
-                raise _Diverged(f"{_where(config, pop, capacity, r)}: the run differs from the same "
-                                f"replicate at capacity {config.capacities[0]}, although a cache never "
-                                f"changes a run; the fitness function must return one value per chromosome")
+            try:
+                if call(chromosome) == value:
+                    continue
+                cause = None
+            except ValueError as exc:  # NaN here, where `lookup` got a number
+                cause = exc
+            raise _Diverged(f"{_where(config, pop, capacity, r)}: the run differs from the same replicate at "
+                            f"capacity {config.capacities[0]}, although a cache never changes a run; "
+                            f"the fitness function must return one value per chromosome") from cause
         return value
 
     return config.variant._steps(pv, rng, lookup_all)
@@ -227,14 +234,14 @@ def sweep(config: ExperimentConfig, per_run: Optional[list[dict]] = None) -> lis
     many times as live, because the benchmark's traced check counts them
     (ROADMAP item 1).
 
-    A follower that gets a fitness other than the live run's raises
-    RuntimeError naming its cell and seed. Caches are the only state held
-    per capacity, and they share the live run's chromosomes.
+    A follower that gets a fitness other than the live run's, NaN included,
+    raises RuntimeError naming its cell and seed. Caches are the only state
+    held per capacity, and they share the live run's chromosomes.
 
     Cells and per-run rows are emitted in (pop, capacity, run) order. The
-    live cache looks each chromosome up before the followers, and a failure
-    does not depend on the capacity, so the first error raised is the one
-    that ``run_cell`` over the cells in that order raises.
+    live cache looks each chromosome up before the followers, so with a
+    deterministic fitness function the first error raised is the one that
+    ``run_cell`` over the cells in that order raises.
     """
     fn = fitness_function(config.problem)
     cells = []
@@ -263,12 +270,15 @@ def sweep(config: ExperimentConfig, per_run: Optional[list[dict]] = None) -> lis
 def write_csv(rows: list[dict], path: str) -> None:
     """Write a header of the first row's keys, then each row with floats as ``.6f``.
 
-    A key that the first row lacks raises ValueError. The results CSV is
-    ``[asdict(c) for c in sweep(config)]``; the per-run CSV is the rows that
-    ``sweep(config, per_run)`` collects.
+    A row without a key of the first row, or with a key it lacks, raises
+    ValueError. The results CSV is ``[asdict(c) for c in sweep(config)]``;
+    the per-run CSV is the rows that ``sweep(config, per_run)`` collects.
     """
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]) if rows else [])
         writer.writeheader()
-        for row in rows:
+        for i, row in enumerate(rows):
+            missing = [k for k in writer.fieldnames if k not in row]
+            if missing:
+                raise ValueError(f"row {i} lacks key {missing[0]!r} of the first row")
             writer.writerow({k: f"{v:.6f}" if isinstance(v, float) else v for k, v in row.items()})

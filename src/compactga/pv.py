@@ -12,8 +12,6 @@ quotient table.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .chromosome import Chromosome, Rng, _integer
@@ -62,27 +60,6 @@ class ProbabilityVector:
         self._clamp[-2:] = 0
         # a gene last seen strictly between 0 and 1; only a hint, see is_converged
         self._witness = 0
-
-    @classmethod
-    def from_probabilities(
-        cls, probs: Sequence[float], population_size: int
-    ) -> "ProbabilityVector":
-        """Build from explicit entries; each must be representable as k/(2n).
-
-        Tests use it to put a vector in an exact state.
-        """
-        pv = cls(len(probs), population_size)
-        denom = pv._denom
-        for i, p in enumerate(probs):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"probability out of range at gene {i}: {p}")
-            k = round(p * denom)
-            if k / denom != p:
-                raise ValueError(
-                    f"probability {p} at gene {i} is not a multiple of 1/{denom}"
-                )
-            pv._num[i] = k
-        return pv  # _probs is still None from __init__, so the first sample refreshes
 
     @property
     def numerators(self) -> tuple[int, ...]:

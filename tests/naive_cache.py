@@ -6,6 +6,7 @@ two can disagree only if one of them is wrong.
 """
 
 from compactga import Chromosome
+from states import bitstring
 
 
 class NaiveCache:
@@ -48,4 +49,4 @@ class NaiveCache:
 
 def key_universe(count: int, length: int = 8) -> list[Chromosome]:
     """Distinct chromosome keys 0..count-1 encoded on `length` bits."""
-    return [Chromosome.from_text(format(i, f"0{length}b")) for i in range(count)]
+    return [bitstring(format(i, f"0{length}b")) for i in range(count)]

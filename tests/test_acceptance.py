@@ -23,6 +23,7 @@ from compactga import (
     speedup,
 )
 from naive_cache import NaiveCache, key_universe
+from states import residents
 
 RUNS = 50
 SWEEP_RUNS = 20
@@ -175,10 +176,10 @@ def test_criterion_3_cache_oracle():
             assert real_hit == naive_hit
             assert value == naive_value
             if op % 50 == 0:
-                assert len(cache) <= cache.capacity
+                assert residents(cache) <= cache.capacity
         assert cache.dump() == naive.dump()
         assert (cache.hits, cache.misses) == (naive.hits, naive.misses)
-        assert len(cache) <= cache.capacity
+        assert residents(cache) <= cache.capacity
         total_ops += ops
     elapsed = time.perf_counter() - started
     _report(

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from compactga import CachedEvaluator, CachePolicy, Chromosome, FitnessCache, Rng, Variant, onemax
 from naive_cache import NaiveCache, key_universe
+from states import bitstring, residents
 
 KEYS = key_universe(64)
 
@@ -70,7 +71,7 @@ def test_evict_front_returns_front_key():
     assert cache.evict_front() == chrom(1)
     assert cache.dump() == f"{chrom(2)},20"
     assert cache.evict_front() == chrom(2)
-    assert len(cache) == 0
+    assert residents(cache) == 0
     with pytest.raises(IndexError):
         cache.evict_front()
 
@@ -124,7 +125,7 @@ def test_capacity_zero_never_stores():
     for i in (1, 1, 2, 2):
         ev(chrom(i))
     assert (cache.hits, cache.misses) == (0, 4)
-    assert len(cache) == 0
+    assert residents(cache) == 0
     assert len(evaluated) == 4
 
 
@@ -143,7 +144,7 @@ def test_distinct_keys_with_equal_values_are_separate_entries():
     cache = FitnessCache(4, "fifo")
     lookup(cache, chrom(2), lambda key: 7)
     lookup(cache, chrom(3), lambda key: 7)
-    assert len(cache) == 2
+    assert residents(cache) == 2
     assert cache.dump() == f"{chrom(2)},7\n{chrom(3)},7"
 
 
@@ -223,7 +224,7 @@ def seven(chromosome):
 def test_a_hit_enters_one_python_frame_and_a_miss_only_the_fitness_function_besides(policy):
     ev = CachedEvaluator(seven, FitnessCache(1, policy))
     assert frames_entered(ev, chrom(1)) == ["__call__", "seven"]
-    assert frames_entered(ev, Chromosome.from_text(str(chrom(1)))) == ["__call__"]
+    assert frames_entered(ev, bitstring(str(chrom(1)))) == ["__call__"]
     assert frames_entered(ev, chrom(2)) == ["__call__", "seven", "evict_front"]
     assert (ev.cache.hits, ev.cache.misses, ev.cache.evictions) == (1, 2, 1)
     uncached = CachedEvaluator(seven, FitnessCache(0, policy))
@@ -240,7 +241,7 @@ def test_matches_naive_model(policy, capacity, length, data):
     # a few distinct keys of one length, so that lookups repeat; every length
     # but 8 and 16 leaves zero padding in the last packed byte
     values = data.draw(st.lists(st.integers(0, 2**length - 1), min_size=1, max_size=16, unique=True))
-    keys = [Chromosome.from_text(format(v, f"0{length}b")) for v in values]
+    keys = [bitstring(format(v, f"0{length}b")) for v in values]
     indices = data.draw(st.lists(st.integers(0, len(keys) - 1), max_size=200))
     cache = FitnessCache(capacity, policy)
     ev = CachedEvaluator(lambda c: c.to_int() % 5, cache)
@@ -257,7 +258,7 @@ def test_matches_naive_model(policy, capacity, length, data):
         else:
             assert real_hit
             assert value == naive_value
-        assert len(cache) <= cache.capacity
+        assert residents(cache) <= cache.capacity
     assert cache.dump() == naive.dump()
     assert (cache.hits, cache.misses) == (naive.hits, naive.misses)
     assert cache.hits + cache.misses == len(indices)
@@ -272,7 +273,7 @@ def test_lookups_never_call_the_keys_hash_or_eq(monkeypatch, policy):
     indices = [1, 2, 1, 3, 2, 4, 1, 1, 5, 3, 3]
     # equal keys in new objects, as sampling makes them: a dict keyed by
     # chromosomes would have to call __eq__ to tell them apart
-    lookups = [Chromosome.from_text(str(chrom(i))) for i in indices]
+    lookups = [bitstring(str(chrom(i))) for i in indices]
     cache = FitnessCache(3, policy)
     ev = CachedEvaluator(lambda c: c.to_int() % 5, cache)
     with monkeypatch.context() as m:
@@ -303,12 +304,12 @@ def test_lookups_never_call_the_keys_hash_or_eq(monkeypatch, policy):
 def test_one_cache_holds_keys_of_one_length(policy, capacity):
     # "1" and "10" both pack to b"\x80"
     cache = FitnessCache(capacity, policy)
-    assert lookup(cache, Chromosome.from_text("1"), lambda key: 7) == 7
+    assert lookup(cache, bitstring("1"), lambda key: 7) == 7
     snapshot = (cache.hits, cache.misses, cache.dump())
     with pytest.raises(ValueError, match="keys of length 1, got one of length 2"):
-        lookup(cache, Chromosome.from_text("10"), not_called)
+        lookup(cache, bitstring("10"), not_called)
     assert (cache.hits, cache.misses, cache.dump()) == snapshot
-    assert lookup(cache, Chromosome.from_text("0"), lambda key: 3) == 3
+    assert lookup(cache, bitstring("0"), lambda key: 3) == 3
 
 
 def test_a_failed_first_lookup_fixes_no_key_length():
@@ -318,7 +319,7 @@ def test_a_failed_first_lookup_fixes_no_key_length():
         raise RuntimeError("fitness unavailable")
 
     with pytest.raises(RuntimeError):
-        lookup(cache, Chromosome.from_text("1"), explode)
-    assert lookup(cache, Chromosome.from_text("10"), lambda key: 2) == 2
-    assert lookup(cache, Chromosome.from_text("10"), not_called) == 2
+        lookup(cache, bitstring("1"), explode)
+    assert lookup(cache, bitstring("10"), lambda key: 2) == 2
+    assert lookup(cache, bitstring("10"), not_called) == 2
     assert (cache.hits, cache.misses) == (1, 1)

@@ -1,4 +1,5 @@
 import csv
+import enum
 import os
 import pickle
 import subprocess
@@ -8,8 +9,9 @@ from dataclasses import asdict, fields
 import pytest
 
 import compactga
-from compactga import algorithms
+from compactga import algorithms, cli
 from compactga import (
+    CachePolicy,
     CellResult,
     ExperimentConfig,
     IterationLimitError,
@@ -18,7 +20,7 @@ from compactga import (
     sweep,
     write_csv,
 )
-from compactga.cli import load_config_file, main, parse_int_list
+from compactga.cli import build_parser, load_config_file, main, parse_int_list
 from compactga.problems import DEFAULT_BITS, FITNESS_FUNCTIONS
 from test_golden_csv import GOLDEN, sha256
 
@@ -57,6 +59,8 @@ def test_config_validation_errors():
         small_config(bits=0)
     with pytest.raises(ValueError):
         small_config(base_seed=-3)
+    with pytest.raises(TypeError, match="variant"):
+        small_config(variant="cga")
 
 
 @pytest.mark.parametrize(
@@ -181,6 +185,11 @@ def test_write_csv_keeps_the_first_rows_key_order_and_prints_floats_with_six_dig
         "3,0,0.100000,0101",
         "4,1,2.000000,1111",
     ]
+
+
+def test_write_csv_refuses_a_row_that_lacks_a_key_of_the_first_row(tmp_path):
+    with pytest.raises(ValueError, match="row 1 lacks key 'b'"):
+        write_csv([{"a": 1, "b": 2.5}, {"a": 3}], str(tmp_path / "r.csv"))
 
 
 def test_cli_asks_for_bits_when_a_problem_has_no_default_length(monkeypatch, tmp_path, capsys):
@@ -343,6 +352,18 @@ def test_cli_help_shows_defaults(capsys, monkeypatch):
     monkeypatch.setitem(FITNESS_FUNCTIONS, "zeros", lambda c: 0)
     monkeypatch.setitem(DEFAULT_BITS, "zeros", 17)
     assert "(default 100 for onemax, 30 for binint, 17 for zeros)" in help_text()
+
+
+def test_cli_policy_choices_are_the_cache_policies(tmp_path, monkeypatch):
+    for policy in CachePolicy:
+        out = tmp_path / f"{policy.value}.csv"
+        argv = ["--bits", "6", "--pop", "4", "--cache", "2", "--runs", "1", "--policy", policy.value, "--out", str(out)]
+        assert main(argv) == 0
+        assert next(csv.DictReader(out.read_text().splitlines()))["policy"] == policy.value
+    # a policy added to the enum needs no edit of the parser
+    extended = enum.Enum("CachePolicy", {p.name: p.value for p in CachePolicy} | {"MRU": "mru"})
+    monkeypatch.setattr(cli, "CachePolicy", extended)
+    assert build_parser().parse_args(["--policy", "mru"]).policy == "mru"
 
 
 def test_cli_trace_writes_per_run_detail(tmp_path):

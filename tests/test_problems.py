@@ -4,34 +4,35 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from compactga import Chromosome, binary_integer, fitness_function, onemax
+from states import bitstring
 
 
 @pytest.mark.parametrize(
     "text,expected", [("00", 0), ("01", 1), ("10", 1), ("11", 2)]
 )
 def test_onemax_two_bit_table(text, expected):
-    assert onemax(Chromosome.from_text(text)) == expected
+    assert onemax(bitstring(text)) == expected
 
 
 @pytest.mark.parametrize(
     "text,expected", [("00", 0), ("01", 1), ("10", 2), ("11", 3)]
 )
 def test_binary_integer_two_bit_table(text, expected):
-    assert binary_integer(Chromosome.from_text(text)) == expected
+    assert binary_integer(bitstring(text)) == expected
 
 
 def test_binary_integer_all_zeros_30_bits():
-    assert binary_integer(Chromosome.from_text("0" * 30)) == 0
+    assert binary_integer(bitstring("0" * 30)) == 0
 
 
 def test_binary_integer_all_ones_30_bits():
-    assert binary_integer(Chromosome.from_text("1" * 30)) == 2**30 - 1
+    assert binary_integer(bitstring("1" * 30)) == 2**30 - 1
 
 
 def test_binary_integer_rejects_over_63_bits():
-    assert binary_integer(Chromosome.from_text("1" * 63)) == 2**63 - 1
+    assert binary_integer(bitstring("1" * 63)) == 2**63 - 1
     with pytest.raises(ValueError):
-        binary_integer(Chromosome.from_text("1" * 64))
+        binary_integer(bitstring("1" * 64))
 
 
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=100))
@@ -45,7 +46,7 @@ def test_binary_integer_is_a_bijection(length):
     # oracle: each value is constructed independently via format()
     seen = set()
     for value in range(2**length):
-        c = Chromosome.from_text(format(value, f"0{length}b"))
+        c = bitstring(format(value, f"0{length}b"))
         got = binary_integer(c)
         assert got == value
         seen.add(got)

@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 import reference_algos as ref
 from compactga import Chromosome, ProbabilityVector, Rng, compete
-
-
-def chrom(text):
-    return Chromosome.from_text(text)
+from states import bitstring as chrom
+from states import vector
 
 
 def test_initial_state_is_all_half():
@@ -33,15 +31,6 @@ def test_constructor_validation():
 def test_constructor_rejects_non_integral_sizes(name, args):
     with pytest.raises(TypeError, match=name):
         ProbabilityVector(*args)
-
-
-def test_from_probabilities_requires_representable_entries():
-    pv = ProbabilityVector.from_probabilities([0.0, 0.25, 1.0], 2)
-    assert pv.numerators == (0, 1, 4)
-    with pytest.raises(ValueError):
-        ProbabilityVector.from_probabilities([0.3], 2)  # not a multiple of 1/4
-    with pytest.raises(ValueError):
-        ProbabilityVector.from_probabilities([1.5], 2)
 
 
 def test_update_moves_entries_by_one_over_n():
@@ -86,7 +75,7 @@ def test_update_clamps_to_exactly_one_for_odd_n():
 def test_update_step_is_plus_minus_two_numerator_units(n_and_nums, data):
     n, nums = n_and_nums
     length = len(nums)
-    pv = ProbabilityVector.from_probabilities([k / (2 * n) for k in nums], n)
+    pv = vector(nums, n)
     assert pv.numerators == tuple(nums)
     w = data.draw(st.lists(st.integers(0, 1), min_size=length, max_size=length))
     lo = data.draw(st.lists(st.integers(0, 1), min_size=length, max_size=length))
@@ -97,8 +86,8 @@ def test_update_step_is_plus_minus_two_numerator_units(n_and_nums, data):
 
 
 def test_is_converged_examples():
-    assert ProbabilityVector.from_probabilities([1.0, 0.0, 1.0], 9).is_converged()
-    assert not ProbabilityVector.from_probabilities([0.5, 1.0], 9).is_converged()
+    assert vector([18, 0, 18], 9).is_converged()
+    assert not vector([9, 18], 9).is_converged()
     assert not ProbabilityVector(17, 4).is_converged()
 
 
@@ -120,7 +109,7 @@ def test_is_converged_matches_a_full_scan_after_every_update(n_and_nums, data):
     # saturated ones, including the witness and genes the witness does not cover
     n, nums = n_and_nums
     length = len(nums)
-    pv = ProbabilityVector.from_probabilities([k / (2 * n) for k in nums], n)
+    pv = vector(nums, n)
     assert pv.is_converged() == full_scan_converged(pv)
     bits = st.lists(st.integers(0, 1), min_size=length, max_size=length)
     steps = data.draw(st.lists(st.tuples(bits, bits), max_size=40))
@@ -133,7 +122,7 @@ def test_is_converged_matches_a_full_scan_after_every_update(n_and_nums, data):
 
 
 def test_is_converged_sees_a_saturated_gene_reopen():
-    pv = ProbabilityVector.from_probabilities([1.0, 0.5], 2)
+    pv = vector([4, 2], 2)
     assert not pv.is_converged()  # gene 0 scanned as settled, gene 1 open
     pv.update(chrom("01"), chrom("10"))  # gene 0 re-opens, gene 1 settles
     assert pv.numerators == (2, 4)
@@ -153,12 +142,12 @@ def test_sample_reads_the_current_entries_after_every_step(n_and_nums, data):
     # small n makes a stale entry 1/n off, so a sample from it shows quickly
     n, nums = n_and_nums
     length = len(nums)
-    pv = ProbabilityVector.from_probabilities([k / (2 * n) for k in nums], n)
+    pv = vector(nums, n)
     exact = [Fraction(k, 2 * n) for k in nums]
     bits = st.lists(st.integers(0, 1), min_size=length, max_size=length)
     steps = data.draw(st.lists(st.one_of(st.tuples(bits, bits), bits.map(lambda b: (b, b))), max_size=20))
     seeds = st.integers(0, 2**64 - 1)
-    for step in [None, *steps]:  # the first sample follows from_probabilities directly
+    for step in [None, *steps]:  # the first sample follows vector() directly
         if step is not None:
             w, lo = step
             pv.update(Chromosome(np.array(w, dtype=np.uint8)), Chromosome(np.array(lo, dtype=np.uint8)))
@@ -197,7 +186,7 @@ def test_table_lookups_are_exact_at_the_edges_for_small_and_large_n(n):
     # numerators 1 and 2n-1 are reachable from 1/2 only for odd n; starting
     # there at every n hits both parities of the clamp table's edges
     nums = [0, 1, 2, n, 2 * n - 2, 2 * n - 1, 2 * n]
-    pv = ProbabilityVector.from_probabilities([k / (2 * n) for k in nums], n)
+    pv = vector(nums, n)
     assert pv.numerators == tuple(nums)
     for step, moves in enumerate(_EDGE_STEPS):
         w = np.array([d == +1 for d in moves], dtype=np.uint8)
@@ -272,7 +261,7 @@ def test_sample_after_update_reads_the_new_entries():
 
 
 def test_converged_entries_are_absorbing():
-    pv = ProbabilityVector.from_probabilities([1.0, 0.5], 4)
+    pv = vector([8, 4], 4)
     rng = Rng(3)
     for _ in range(50):
         c = pv.sample(rng)
@@ -283,7 +272,7 @@ def test_converged_entries_are_absorbing():
 
 
 def test_decode_marks_only_probability_one():
-    pv = ProbabilityVector.from_probabilities([1.0, 0.0, 1.0], 5)
+    pv = vector([10, 0, 10], 5)
     assert str(pv.decode()) == "101"
 
 

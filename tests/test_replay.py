@@ -279,6 +279,41 @@ def test_the_cli_reports_a_replay_that_diverges_as_an_error(flaky_problem, tmp_p
     assert not out.exists()
 
 
+@pytest.fixture
+def nan_on_repeat(monkeypatch):
+    """onemax, but NaN when called twice in a row on one chromosome.
+
+    At capacities (0, 4) the live run at capacity 0 calls it once per lookup,
+    and capacity 4's follower, missing too, calls it again at the first.
+    """
+    last = [None]
+
+    def fitness(c):
+        repeat, last[0] = c == last[0], c
+        return float("nan") if repeat else c.ones()
+
+    monkeypatch.setitem(FITNESS_FUNCTIONS, "nan-on-repeat", fitness)
+
+
+def test_a_follower_that_gets_nan_raises_naming_its_own_cell(nan_on_repeat):
+    config = config_of(problem="nan-on-repeat", n_values=(8,), capacities=(0, 4), base_seed=9)
+    with pytest.raises(RuntimeError) as err:
+        sweep(config)
+    assert str(err.value).startswith("cga on nan-on-repeat: bits=12 pop=8 capacity=4 run=0 seed=9: ")
+    assert isinstance(err.value.__cause__, ValueError)
+    assert str(err.value.__cause__).endswith("is NaN")
+
+
+def test_the_cli_reports_a_follower_that_gets_nan_with_its_own_cell(nan_on_repeat, tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    code = cli.main(["--problem", "nan-on-repeat", "--bits", "12", "--pop", "8", "--cache", "0,4",
+                     "--runs", "1", "--seed", "9", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cga on nan-on-repeat: bits=12 pop=8 capacity=4 run=0 seed=9: ")
+    assert not out.exists()
+
+
 def test_the_benchmark_tracer_counts_what_the_csv_counts(tmp_path, monkeypatch, capsys):
     """The benchmark's traced pass ties the CSV's runs, iterations, hits and
     misses to ``Variant.run`` spans, ``is_converged`` calls and lookup spans;
