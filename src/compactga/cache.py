@@ -15,11 +15,11 @@ enters only the fitness function, plus ``evict_front`` when the cache is
 full. FIFO lookups never reorder the dict; an LRU hit moves the entry to the
 rear with ``move_to_end``, and eviction pops the front.
 
-The store is keyed by an opaque token and reads nothing of what it stores.
-The evaluator keys it by each chromosome's packed bytes: bytes keep their
-hash and compare in C, so a lookup never calls back into Python for
-``__hash__`` or ``__eq__``. Each entry stores ``(chromosome, value)``, so the
-chromosome itself is still there to list and to return.
+Each entry maps one chromosome's packed bytes to its fitness and nothing
+more: bytes keep their hash and compare in C, so a lookup never calls back
+into Python for ``__hash__`` or ``__eq__``, and a resident holds l/8 key
+bytes rather than the chromosome and its unpacked alleles. ``dump`` spells
+each key's bit string from its bytes and the cache's key length.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ import enum
 from collections import OrderedDict
 
 from .chromosome import Chromosome, _integer
+
+_ABSENT = object()  # what a lookup of an absent key returns: None, 0 or False may be a stored fitness
 
 
 class CachePolicy(enum.Enum):
@@ -38,7 +40,7 @@ class CachePolicy(enum.Enum):
 
 
 class FitnessCache:
-    """Bounded token-to-(key, value) store with exact hit, miss and eviction counts.
+    """Bounded packed-key-to-fitness store with exact hit, miss and eviction counts.
 
     ``hits`` and ``misses`` together count every lookup exactly once, and
     ``evictions`` counts every entry removed to make room. Two distinct keys
@@ -61,25 +63,27 @@ class FitnessCache:
         self.evictions = 0
         self._lru = self.policy is CachePolicy.LRU
         self._length = None  # of every key, once a lookup has completed
-        self._entries: OrderedDict[object, tuple[object, object]] = OrderedDict()
+        self._entries: OrderedDict[bytes, object] = OrderedDict()
 
-    def evict_front(self):
-        """Remove the entry next in eviction order, count it and return its key.
+    def evict_front(self) -> bytes:
+        """Remove the entry next in eviction order, count it and return its packed key.
 
         Its own method so that the benchmark tracer can count evictions.
         """
         if not self._entries:
             raise IndexError("evict_front on an empty cache")
         self.evictions += 1
-        _, (key, _) = self._entries.popitem(last=False)
+        key, _ = self._entries.popitem(last=False)
         return key
 
     def dump(self) -> str:
-        """One '<key>,<value>' line per entry, front to rear.
+        """One '<key>,<value>' line per entry, front to rear, each key as its '0'/'1' string.
 
         The naive-model oracle compares caches, and the tests count residents, through this listing.
         """
-        return "\n".join(f"{key},{value}" for key, value in self._entries.values())
+        length = self._length
+        return "\n".join(f"{int.from_bytes(key, 'big') >> (8 * len(key) - length):0{length}b},{value}"
+                         for key, value in self._entries.items())
 
 
 class CachedEvaluator:
@@ -106,12 +110,12 @@ class CachedEvaluator:
             raise ValueError(f"this cache holds keys of length {cache._length}, "
                              f"got one of length {chromosome.length}")
         packed = chromosome.packed
-        entry = cache._entries.get(packed)
-        if entry is not None:
+        value = cache._entries.get(packed, _ABSENT)
+        if value is not _ABSENT:
             cache.hits += 1
             if cache._lru:
                 cache._entries.move_to_end(packed)
-            return entry[1]
+            return value
         value = self.fitness_fn(chromosome)
         if value != value:  # only NaN differs from itself
             raise ValueError(f"fitness of {chromosome} is NaN")
@@ -120,5 +124,5 @@ class CachedEvaluator:
         if cache.capacity:
             if len(cache._entries) == cache.capacity:
                 cache.evict_front()
-            cache._entries[packed] = (chromosome, value)
+            cache._entries[packed] = value
         return value

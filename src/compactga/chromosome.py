@@ -191,9 +191,6 @@ class Chromosome:
     def __hash__(self) -> int:
         return hash(self.packed)  # "1" and "10" collide; __eq__ compares length
 
-    def __len__(self) -> int:
-        return self.length
-
     def __str__(self) -> str:
         return "".join("1" if b else "0" for b in self.bits.tolist())
 

@@ -271,14 +271,20 @@ def write_csv(rows: list[dict], path: str) -> None:
     """Write a header of the first row's keys, then each row with floats as ``.6f``.
 
     A row without a key of the first row, or with a key it lacks, raises
-    ValueError. The results CSV is ``[asdict(c) for c in sweep(config)]``;
-    the per-run CSV is the rows that ``sweep(config, per_run)`` collects.
+    ValueError before `path` is opened, so an existing file is left as it
+    was. The results CSV is ``[asdict(c) for c in sweep(config)]``; the
+    per-run CSV is the rows that ``sweep(config, per_run)`` collects.
     """
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]) if rows else [])
-        writer.writeheader()
-        for i, row in enumerate(rows):
-            missing = [k for k in writer.fieldnames if k not in row]
+    fields = list(rows[0]) if rows else []
+    for i, row in enumerate(rows):
+        if row.keys() != rows[0].keys():
+            missing = [k for k in fields if k not in row]
             if missing:
                 raise ValueError(f"row {i} lacks key {missing[0]!r} of the first row")
+            extra = next(k for k in row if k not in rows[0])
+            raise ValueError(f"row {i} has key {extra!r} that the first row lacks")
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fields)
+        writer.writeheader()
+        for row in rows:
             writer.writerow({k: f"{v:.6f}" if isinstance(v, float) else v for k, v in row.items()})

@@ -1,6 +1,8 @@
 import random
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -68,9 +70,9 @@ def test_capacity_one_repeated_key(policy):
 
 def test_evict_front_returns_front_key():
     cache = filled("fifo", 1, 2)
-    assert cache.evict_front() == chrom(1)
+    assert cache.evict_front() == chrom(1).packed
     assert cache.dump() == f"{chrom(2)},20"
-    assert cache.evict_front() == chrom(2)
+    assert cache.evict_front() == chrom(2).packed
     assert residents(cache) == 0
     with pytest.raises(IndexError):
         cache.evict_front()
@@ -79,7 +81,7 @@ def test_evict_front_returns_front_key():
 def test_evict_front_follows_lru_recency():
     cache = filled(CachePolicy.LRU, 1, 2, capacity=3)
     assert lookup(cache, chrom(1), not_called) == 10  # hit moves key 1 to the rear
-    assert cache.evict_front() == chrom(2)
+    assert cache.evict_front() == chrom(2).packed
 
 
 def test_counters_start_at_zero_and_accumulate():
@@ -152,6 +154,44 @@ def test_dump_lists_entries_front_to_rear():
     cache = filled("fifo", 5, 1)
     assert cache.dump() == f"{chrom(5)},50\n{chrom(1)},10"
     assert FitnessCache(2, "fifo").dump() == ""
+
+
+@pytest.mark.parametrize("policy", ["fifo", "lru"])
+def test_an_insert_keeps_no_reference_to_the_chromosome(policy):
+    cache = FitnessCache(4, policy)
+    key = bitstring("0110")
+    before = sys.getrefcount(key)
+    assert lookup(cache, key, lambda c: 7) == 7
+    assert sys.getrefcount(key) == before
+    assert cache.dump() == "0110,7"
+
+
+def test_a_resident_entry_holds_less_than_a_quarter_byte_per_gene():
+    # a chromosome's alleles take l bytes and its packed key l/8, so an entry
+    # that kept the chromosome would hold more than l
+    length, count = 2000, 64
+    masks = np.random.default_rng(0).random((count, length)) < 0.5
+    ev = CachedEvaluator(onemax, FitnessCache(count, "fifo"))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for mask in masks:
+            ev(Chromosome(mask))
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert residents(ev.cache) == count
+    assert held / count < length / 4
+
+
+@pytest.mark.parametrize("value", [None, 0, False])
+def test_a_falsy_fitness_is_stored_and_hits(value):
+    calls = []
+    ev = CachedEvaluator(lambda c: calls.append(c) or value, FitnessCache(2, "lru"))
+    assert ev(chrom(1)) is value
+    assert ev(chrom(1)) is value
+    assert (len(calls), ev.cache.hits, ev.cache.misses) == (1, 1, 1)
+    assert ev.cache.dump() == f"{chrom(1)},{value}"
 
 
 def test_failed_evaluation_leaves_cache_untouched():
@@ -285,7 +325,7 @@ def test_lookups_never_call_the_keys_hash_or_eq(monkeypatch, policy):
             ev(key)
             outcomes.append("hit" if cache.hits > before else "miss")
         dump = cache.dump()
-        evicted = str(cache.evict_front())
+        evicted = cache.evict_front()
     assert "hit" in outcomes and cache.misses > cache.capacity  # so some lookup evicted
     naive = NaiveCache(3, lru=policy == "lru")
     naive_outcomes = []
@@ -296,7 +336,7 @@ def test_lookups_never_call_the_keys_hash_or_eq(monkeypatch, policy):
     assert outcomes == naive_outcomes
     assert dump == naive.dump()
     assert (cache.hits, cache.misses) == (naive.hits, naive.misses)
-    assert evicted == str(naive.entries[0][0])
+    assert evicted == naive.entries[0][0].packed
 
 
 @pytest.mark.parametrize("capacity", [0, 4])

@@ -20,7 +20,7 @@ bit_lists = st.lists(st.integers(0, 1), min_size=1, max_size=80)
 def test_text_roundtrip():
     c = bitstring("0110")
     assert str(c) == "0110"
-    assert len(c) == 4
+    assert c.length == 4
     assert c.bits.tolist() == [0, 1, 1, 0]
 
 

@@ -192,6 +192,18 @@ def test_write_csv_refuses_a_row_that_lacks_a_key_of_the_first_row(tmp_path):
         write_csv([{"a": 1, "b": 2.5}, {"a": 3}], str(tmp_path / "r.csv"))
 
 
+@pytest.mark.parametrize("rows,message", [
+    ([{"a": 1, "b": 2.5}, {"a": 3}], "row 1 lacks key 'b' of the first row"),
+    ([{"a": 1}, {"a": 2}, {"a": 3, "c": 4}], "row 2 has key 'c' that the first row lacks"),
+])
+def test_write_csv_refuses_a_row_before_it_opens_the_file(tmp_path, rows, message):
+    path = tmp_path / "r.csv"
+    path.write_bytes(b"a,b\n0,0.000000\n")
+    with pytest.raises(ValueError, match=message):
+        write_csv(rows, str(path))
+    assert path.read_bytes() == b"a,b\n0,0.000000\n"
+
+
 def test_cli_asks_for_bits_when_a_problem_has_no_default_length(monkeypatch, tmp_path, capsys):
     monkeypatch.setitem(FITNESS_FUNCTIONS, "zeros", lambda c: 0)
     out = tmp_path / "r.csv"
