@@ -58,28 +58,30 @@ class IterationLimitError(RuntimeError):
 class RunStats:
     """Outcome of one run.
 
-    The fields before ``final_pv``, in order, are the stats columns of a
-    per-replicate (``--trace``) CSV row. ``evaluations`` counts the
-    fitness-function invocations made through the cache, which are exactly
-    the cache ``misses``; ``hits + misses`` is the number of lookups, which
-    does not depend on the cache. ``solution_fitness``
-    is one more call, made directly on the decoded solution after the loop
-    and counted nowhere, so a run calls the fitness function
-    ``evaluations + 1`` times. ``final_pv`` (the vector's numerators) and
-    ``updates`` are what the trajectory oracles compare, and ``final_pv`` is
-    what a capacity replay loads (``harness.sweep``); ``updates`` holds
-    the (winner, loser) pair of every probability-vector update when the run
-    was traced, and is None otherwise.
+    ``hits + misses`` is the number of lookups, which does not depend on the
+    cache. ``evaluations``, the fitness calls made through the cache, is
+    derived: it is exactly the ``misses``. ``solution_fitness`` is one more
+    call, made directly on the decoded solution after the loop and counted
+    nowhere, so a run calls the fitness function ``evaluations + 1`` times.
+    ``final_pv`` (the vector's numerators) and ``updates`` are what the
+    trajectory oracles compare; ``updates`` holds the (winner, loser) pair of
+    every update when the run was traced, and is None otherwise. In
+    ``harness.sweep`` a follower capacity's record is the live run's record
+    with the follower's own hits and misses.
     """
 
     iterations: int
     hits: int
     misses: int
-    evaluations: int
     solution: Chromosome
     solution_fitness: int | float
     final_pv: tuple[int, ...]
     updates: Optional[list[tuple[Chromosome, Chromosome]]] = None
+
+    @property
+    def evaluations(self) -> int:
+        """Fitness calls made through the cache: its misses."""
+        return self.misses
 
 
 def default_inheritance_length(population_size: int) -> int:
@@ -225,12 +227,10 @@ class Variant:
                 if updates is not None:
                     updates.append((winner, loser))
         solution = pv.decode()
-        misses = cache.misses - misses0
         return RunStats(
             iterations=iterations,
             hits=cache.hits - hits0,
-            misses=misses,
-            evaluations=misses,
+            misses=cache.misses - misses0,
             solution=solution,
             solution_fitness=evaluator.fitness_fn(solution),
             final_pv=pv.numerators,

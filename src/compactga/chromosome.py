@@ -192,7 +192,7 @@ class Chromosome:
         return hash(self.packed)  # "1" and "10" collide; __eq__ compares length
 
     def __str__(self) -> str:
-        return "".join("1" if b else "0" for b in self.bits.tolist())
+        return f"{self.to_int():0{self.length}b}"
 
     def __repr__(self) -> str:
         return f"Chromosome({str(self)!r})"

@@ -5,9 +5,9 @@ not draw from the RNG, so cells that differ only in capacity or policy share
 identical trajectories and their curves differ only through hit counts;
 ``sweep`` therefore runs each replicate live once, at its first capacity,
 with every other capacity's cache looking up what that run looks up, and
-replays only its iterations and final vector at the others. The uncached
-evaluation count of a cell is hits + misses from the same runs; no
-separate uncached arm is executed.
+gives each other capacity the live record with that cache's hits and misses.
+The uncached evaluation count of a cell is hits + misses from the same runs;
+no separate uncached arm is executed.
 
 Aggregation sums hits and misses across replicates and computes ratio
 metrics from the sums, so the counter identities hold exactly on every
@@ -18,7 +18,7 @@ comparison.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Optional
 
@@ -100,9 +100,8 @@ class CellResult:
     reduction_pct: float
 
 
-# RunStats fields that a per-run row leaves out: the trajectory oracles read
-# both, and a replay loads the live run's final_pv
-_TRAJECTORY_FIELDS = ("final_pv", "updates")
+# the RunStats columns of a per-run (--trace) CSV row, after pop, capacity, run and seed
+_TRACE_COLUMNS = ("iterations", "hits", "misses", "evaluations", "solution", "solution_fitness")
 
 
 class _Diverged(RuntimeError):
@@ -158,6 +157,7 @@ def _replay(live: RunStats, pv, rng, lookup):
     """One empty step per iteration of `live`, loading ``live.final_pv`` into `pv` before the last.
 
     Draws, looks up and yields nothing; the loaded vector is converged, so the loop asks for no more.
+    ``sweep`` discards the replay's record: it runs only for the benchmark tracer's counts.
     """
     for _ in range(live.iterations - 1):
         yield ()
@@ -166,16 +166,15 @@ def _replay(live: RunStats, pv, rng, lookup):
 
 
 def _row(config: ExperimentConfig, pop: int, capacity: int, r: int, stats: RunStats) -> dict:
-    """The per-run CSV row of one run."""
+    """The per-run (``--trace``) CSV row of one run."""
     return {"pop": pop, "capacity": capacity, "run": r, "seed": config.base_seed + r,
-            **{f.name: getattr(stats, f.name) for f in fields(RunStats)
-               if f.name not in _TRAJECTORY_FIELDS}}
+            **{name: getattr(stats, name) for name in _TRACE_COLUMNS}}
 
 
-def _cell(config: ExperimentConfig, pop: int, capacity: int, rows: list[dict]) -> CellResult:
-    """Aggregate the per-run rows of one cell, in run order."""
-    hits = sum(row["hits"] for row in rows)
-    misses = sum(row["misses"] for row in rows)
+def _cell(config: ExperimentConfig, pop: int, capacity: int, runs: list[RunStats]) -> CellResult:
+    """Aggregate the records of one cell's runs, in run order."""
+    hits = sum(stats.hits for stats in runs)
+    misses = sum(stats.misses for stats in runs)
     return CellResult(
         algo=config.variant.label,
         problem=config.problem,
@@ -184,14 +183,14 @@ def _cell(config: ExperimentConfig, pop: int, capacity: int, rows: list[dict]) -
         policy=config.policy.value,
         capacity=capacity,
         runs=config.runs,
-        iterations_mean=sum(row["iterations"] for row in rows) / config.runs,
+        iterations_mean=sum(stats.iterations for stats in runs) / config.runs,
         hits_sum=hits,
         misses_sum=misses,
         neval_nocache=hits + misses,
         neval_cache=misses,
         speedup=metrics.speedup(hits + misses, misses),
-        speedup_mean_of_runs=sum(metrics.speedup(row["hits"] + row["misses"], row["misses"])
-                                 for row in rows) / config.runs,
+        speedup_mean_of_runs=sum(metrics.speedup(stats.hits + stats.misses, stats.misses)
+                                 for stats in runs) / config.runs,
         hitratio_pct=100.0 * metrics.hitratio(hits, misses),
         reduction_pct=metrics.reduction_pct(hits, misses),
     )
@@ -208,12 +207,11 @@ def run_cell(
     A replicate's IterationLimitError or ValueError is re-raised with the cell and seed in front.
     """
     fn = fitness_function(config.problem)
-    rows = [_row(config, pop, capacity, r, _run(config, CachedEvaluator(fn, FitnessCache(capacity, config.policy)),
-                                                pop, r, Rng(config.base_seed + r)))
-            for r in range(config.runs)]
+    runs = [_run(config, CachedEvaluator(fn, FitnessCache(capacity, config.policy)), pop, r,
+                 Rng(config.base_seed + r)) for r in range(config.runs)]
     if per_run is not None:
-        per_run.extend(rows)
-    return _cell(config, pop, capacity, rows)
+        per_run.extend(_row(config, pop, capacity, r, stats) for r, stats in enumerate(runs))
+    return _cell(config, pop, capacity, runs)
 
 
 def sweep(config: ExperimentConfig, per_run: Optional[list[dict]] = None) -> list[CellResult]:
@@ -225,14 +223,14 @@ def sweep(config: ExperimentConfig, per_run: Optional[list[dict]] = None) -> lis
     of its own, a follower, before the live run starts: every chromosome
     the live run looks up, it looks up through its own cache and then
     through each follower, so a follower's miss still calls the fitness
-    function, and its hits, misses and evaluations are those of a live run
-    at its capacity. Then each other capacity runs the same ``Variant.run``
-    loop through its follower with steps that sample, look up, compete and
-    update nothing (a replayed run records no ``updates``); the step of the
-    live run's last iteration loads its final vector, which gives the row
-    its iterations and solution. The loop and its convergence tests run as
-    many times as live, because the benchmark's traced check counts them
-    (ROADMAP item 1).
+    function, and its hits and misses are those of a live run at its
+    capacity. Each other capacity's record is the live run's record with
+    the follower's hits and misses, so its iterations, solution and final
+    vector are the live run's. Each other capacity also replays the live
+    run through the same ``Variant.run`` loop with steps that sample, look
+    up, compete and update nothing, and its record is discarded: it runs
+    only because the benchmark's traced check counts its runs and
+    convergence tests (ROADMAP items 1 and 2).
 
     A follower that gets a fitness other than the live run's, NaN included,
     raises RuntimeError naming its cell and seed. Caches are the only state
@@ -246,36 +244,37 @@ def sweep(config: ExperimentConfig, per_run: Optional[list[dict]] = None) -> lis
     fn = fitness_function(config.problem)
     cells = []
     for pop in config.n_values:
-        rows = {capacity: [] for capacity in config.capacities}
+        runs = {capacity: [] for capacity in config.capacities}
         for r in range(config.runs):
             rng = Rng(config.base_seed + r)
             evaluator, *followers = [CachedEvaluator(fn, FitnessCache(capacity, config.policy))
                                      for capacity in config.capacities]
             live = _run(config, evaluator, pop, r, rng,
                         partial(_followed, config, pop, r, followers) if followers else None)
-            rows[evaluator.cache.capacity].append(_row(config, pop, evaluator.cache.capacity, r, live))
+            runs[evaluator.cache.capacity].append(live)
             for follower in followers:
-                # the replay draws nothing, so it may share the live run's Rng
-                stats = _run(config, follower, pop, r, rng, partial(_replay, live))
+                # kept only for the tracer's counts (ROADMAP items 1, 2); it draws nothing, so it may share the Rng
+                _run(config, follower, pop, r, rng, partial(_replay, live))
                 cache = follower.cache  # its lookups were made during the live run
-                stats = replace(stats, hits=cache.hits, misses=cache.misses, evaluations=cache.misses)
-                rows[cache.capacity].append(_row(config, pop, cache.capacity, r, stats))
+                runs[cache.capacity].append(replace(live, hits=cache.hits, misses=cache.misses))
         for capacity in config.capacities:
             if per_run is not None:
-                per_run.extend(rows[capacity])
-            cells.append(_cell(config, pop, capacity, rows[capacity]))
+                per_run.extend(_row(config, pop, capacity, r, stats) for r, stats in enumerate(runs[capacity]))
+            cells.append(_cell(config, pop, capacity, runs[capacity]))
     return cells
 
 
 def write_csv(rows: list[dict], path: str) -> None:
     """Write a header of the first row's keys, then each row with floats as ``.6f``.
 
-    A row without a key of the first row, or with a key it lacks, raises
-    ValueError before `path` is opened, so an existing file is left as it
-    was. The results CSV is ``[asdict(c) for c in sweep(config)]``; the
-    per-run CSV is the rows that ``sweep(config, per_run)`` collects.
+    No rows, a row without a key of the first row, or one with a key it
+    lacks raises ValueError before `path` is opened, so an existing file is
+    left as it was. The results CSV is ``[asdict(c) for c in sweep(config)]``;
+    the per-run CSV is the rows that ``sweep(config, per_run)`` collects.
     """
-    fields = list(rows[0]) if rows else []
+    if not rows:
+        raise ValueError("no rows to write")
+    fields = list(rows[0])
     for i, row in enumerate(rows):
         if row.keys() != rows[0].keys():
             missing = [k for k in fields if k not in row]

@@ -1,3 +1,4 @@
+import dataclasses
 import pickle
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from compactga import (
     FitnessCache,
     IterationLimitError,
     Rng,
+    RunStats,
     Variant,
     default_inheritance_length,
     onemax,
@@ -190,6 +192,13 @@ def test_evaluations_equal_misses_with_and_without_cache():
     plain = Variant("cga").run(16, 8, no_cache(), Rng(12))
     assert plain.hits == 0
     assert plain.evaluations == plain.misses == plain.hits + plain.misses
+
+
+def test_evaluations_is_derived_from_misses_and_not_stored():
+    stats = Variant("cga").run(12, 8, CachedEvaluator(onemax, FitnessCache(4)), Rng(3))
+    assert "evaluations" not in {f.name for f in dataclasses.fields(RunStats)}
+    for k in (0, stats.misses + 7):
+        assert dataclasses.replace(stats, misses=k).evaluations == k
 
 
 def test_counters_report_per_run_deltas_when_evaluator_is_reused():

@@ -22,6 +22,12 @@ def test_text_roundtrip():
     assert str(c) == "0110"
     assert c.length == 4
     assert c.bits.tolist() == [0, 1, 1, 0]
+    rng = np.random.default_rng(0)
+    # lengths across the first two byte boundaries, around 64 bits, and a long genome
+    for length in [*range(1, 18), 63, 64, 65, 10_000]:
+        for bits in (rng.integers(0, 2, length), np.zeros(length, np.uint8), np.ones(length, np.uint8)):
+            text = "".join(map(str, bits.tolist()))
+            assert str(Chromosome(bits)) == str(bitstring(text)) == text
 
 
 def test_constructor_rejects_bad_alleles():

@@ -9,7 +9,7 @@ from dataclasses import asdict, fields
 import pytest
 
 import compactga
-from compactga import algorithms, cli
+from compactga import algorithms, cli, harness
 from compactga import (
     CachePolicy,
     CellResult,
@@ -202,6 +202,25 @@ def test_write_csv_refuses_a_row_before_it_opens_the_file(tmp_path, rows, messag
     with pytest.raises(ValueError, match=message):
         write_csv(rows, str(path))
     assert path.read_bytes() == b"a,b\n0,0.000000\n"
+
+
+def test_write_csv_refuses_no_rows_before_it_opens_the_file(tmp_path):
+    path = tmp_path / "r.csv"
+    path.write_bytes(b"a,b\n0,0.000000\n")
+    with pytest.raises(ValueError, match="no rows"):
+        write_csv([], str(path))
+    assert path.read_bytes() == b"a,b\n0,0.000000\n"
+
+
+def test_cells_without_per_run_build_no_trace_rows(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a --trace row was built without per_run")
+
+    monkeypatch.setattr(harness, "_row", refuse)
+    config = small_config(n_values=(4, 8), capacities=(0, 3), runs=2)
+    cells = sweep(config)
+    assert [(cell.pop, cell.capacity) for cell in cells] == [(4, 0), (4, 3), (8, 0), (8, 3)]
+    assert run_cell(config, 8, 3) == cells[-1]
 
 
 def test_cli_asks_for_bits_when_a_problem_has_no_default_length(monkeypatch, tmp_path, capsys):

@@ -1,6 +1,8 @@
 import re
 from pathlib import Path
 
+from compactga.cli import main
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -10,3 +12,14 @@ def test_readme_python_example_runs(capsys):
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
     assert capsys.readouterr().out
+
+
+def test_readme_lists_the_columns_that_the_cli_writes(tmp_path, capsys):
+    text = README.read_text()
+    out, trace = tmp_path / "r.csv", tmp_path / "r_runs.csv"
+    assert main(["--bits", "8", "--pop", "4", "--cache", "0,2", "--runs", "2",
+                 "--out", str(out), "--trace", str(trace)]) == 0
+    for heading, path in (("CSV columns", out), ("`--trace` columns", trace)):
+        listed = re.search(rf"^{re.escape(heading)}, in order:\s*`([^`]*)`", text, re.M)
+        assert listed, f"README lists no {heading}"
+        assert path.read_text().splitlines()[0] == listed.group(1)
