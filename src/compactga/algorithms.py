@@ -198,13 +198,12 @@ class Variant:
 
         ``steps`` defaults to the kind's generator, which samples from the
         run's vector ``pv`` with ``rng`` and evaluates through ``evaluator``.
-        ``harness.sweep`` passes one that looks each chromosome of a live
-        run up through the caches of the other capacities too, and one that
-        replays that run at another capacity: it yields no pairs for as
-        many iterations as the live run made, and loads the live run's final
-        vector into ``pv`` at the last. It samples, looks up, competes and
-        updates nothing, so a replayed run records no ``updates``. The loop
-        and the convergence tests are the same either way.
+        ``harness.sweep`` passes one that replays a live run at another
+        capacity: it yields no pairs for as many iterations as the live run
+        made, and loads the live run's final vector into ``pv`` at the
+        last. It samples, looks up, competes and updates nothing, so a
+        replayed run records no ``updates``. The loop and the convergence
+        tests are the same either way.
 
         The harness passes length, population size, evaluator and RNG
         positionally, and the benchmark tracer reads them in that order.

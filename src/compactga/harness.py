@@ -4,8 +4,9 @@ Replicate r of every cell runs with seed base_seed + r. Cache operations do
 not draw from the RNG, so cells that differ only in capacity or policy share
 identical trajectories and their curves differ only through hit counts;
 ``sweep`` therefore runs each replicate live once, at its first capacity,
-with every other capacity's cache looking up what that run looks up, and
-gives each other capacity the live record with that cache's hits and misses.
+through an evaluator that looks each chromosome up in each other capacity's
+cache, a follower, too; each other capacity gets the live record with its
+follower's hits and misses, and a replay, the one run given ``steps``.
 The uncached evaluation count of a cell is hits + misses from the same runs;
 no separate uncached arm is executed.
 
@@ -113,44 +114,43 @@ def _where(config: ExperimentConfig, pop: int, capacity: int, r: int) -> str:
             f"pop={pop} capacity={capacity} run={r} seed={config.base_seed + r}")
 
 
-def _run(config: ExperimentConfig, evaluator: CachedEvaluator, pop: int, r: int, rng: Rng, steps=None) -> RunStats:
+def _run(config: ExperimentConfig, evaluator: CachedEvaluator, pop: int, r: int, rng: Rng) -> RunStats:
     """Run replicate r through `evaluator`.
 
     A run's IterationLimitError or ValueError is re-raised with the cell and seed in front.
     """
     capacity = evaluator.cache.capacity
     try:
-        return config.variant.run(config.bits, pop, evaluator, rng, steps=steps)
+        return config.variant.run(config.bits, pop, evaluator, rng)
     except IterationLimitError as exc:
         raise IterationLimitError(f"{_where(config, pop, capacity, r)}: {exc}", exc.iterations) from exc
     except ValueError as exc:
         raise ValueError(f"{_where(config, pop, capacity, r)}: {exc}") from exc
 
 
-def _followed(config: ExperimentConfig, pop: int, r: int, followers: list[CachedEvaluator], pv, rng, lookup):
-    """The variant's own steps, each lookup made through `lookup` and then through every follower.
+class _Followed(CachedEvaluator):
+    """A live run's evaluator in ``sweep``: each lookup goes through its own cache, then through every follower.
 
-    Raises _Diverged, naming the follower's cell and seed, at the first
-    fitness that a follower gets and `lookup` did not, NaN included.
+    A follower that gets a fitness other than the live cache's, NaN included, raises _Diverged naming its cell and seed.
     """
-    # bound once, as Variant.run binds its evaluator's: calling an instance costs more per lookup
-    calls = [(follower.__call__, follower.cache.capacity) for follower in followers]
 
-    def lookup_all(chromosome):
-        value = lookup(chromosome)
-        for call, capacity in calls:
+    def __init__(self, fitness_fn, cache, followers: list[CachedEvaluator], config: ExperimentConfig, pop, r):
+        super().__init__(fitness_fn, cache)
+        # each follower's lookup, bound once as Variant.run binds its evaluator's, and the error it raises
+        self._calls = [(follower.__call__, f"{_where(config, pop, follower.cache.capacity, r)}: the run differs "
+                        f"from the same replicate at capacity {config.capacities[0]}, although a cache never "
+                        f"changes a run; the fitness function must return one value per chromosome")
+                       for follower in followers]
+
+    def __call__(self, chromosome):
+        value = CachedEvaluator.__call__(self, chromosome)  # on the class, so a traced pass sees one lookup span
+        for call, message in self._calls:
             try:
-                if call(chromosome) == value:
-                    continue
-                cause = None
-            except ValueError as exc:  # NaN here, where `lookup` got a number
-                cause = exc
-            raise _Diverged(f"{_where(config, pop, capacity, r)}: the run differs from the same replicate at "
-                            f"capacity {config.capacities[0]}, although a cache never changes a run; "
-                            f"the fitness function must return one value per chromosome") from cause
+                if call(chromosome) != value:
+                    raise _Diverged(message)
+            except ValueError as exc:  # NaN here, where the live cache got a number
+                raise _Diverged(message) from exc
         return value
-
-    return config.variant._steps(pv, rng, lookup_all)
 
 
 def _replay(live: RunStats, pv, rng, lookup):
@@ -220,21 +220,22 @@ def sweep(config: ExperimentConfig, per_run: Optional[list[dict]] = None) -> lis
     ``ExperimentConfig`` sorts and deduplicates both axes, so that is the
     order of its axes. Each (pop, replicate) runs live once, at the first
     capacity. When the sweep has other capacities, each gets a fresh cache
-    of its own, a follower, before the live run starts: every chromosome
-    the live run looks up, it looks up through its own cache and then
+    of its own, a follower, before the live run starts, and the live run's
+    evaluator looks every chromosome up through its own cache and then
     through each follower, so a follower's miss still calls the fitness
     function, and its hits and misses are those of a live run at its
     capacity. Each other capacity's record is the live run's record with
     the follower's hits and misses, so its iterations, solution and final
     vector are the live run's. Each other capacity also replays the live
-    run through the same ``Variant.run`` loop with steps that sample, look
-    up, compete and update nothing, and its record is discarded: it runs
-    only because the benchmark's traced check counts its runs and
-    convergence tests (ROADMAP items 1 and 2).
+    run through the same ``Variant.run`` loop, the one call that passes it
+    ``steps``: steps that sample, look up, compete and update nothing. The
+    replay's record is discarded: it runs only because the benchmark's
+    traced check counts its runs and convergence tests (ROADMAP items 1
+    and 2).
 
     A follower that gets a fitness other than the live run's, NaN included,
     raises RuntimeError naming its cell and seed. Caches are the only state
-    held per capacity, and they share the live run's chromosomes.
+    held per capacity, and they share the live run's packed bytes.
 
     Cells and per-run rows are emitted in (pop, capacity, run) order. The
     live cache looks each chromosome up before the followers, so with a
@@ -247,14 +248,14 @@ def sweep(config: ExperimentConfig, per_run: Optional[list[dict]] = None) -> lis
         runs = {capacity: [] for capacity in config.capacities}
         for r in range(config.runs):
             rng = Rng(config.base_seed + r)
-            evaluator, *followers = [CachedEvaluator(fn, FitnessCache(capacity, config.policy))
-                                     for capacity in config.capacities]
-            live = _run(config, evaluator, pop, r, rng,
-                        partial(_followed, config, pop, r, followers) if followers else None)
-            runs[evaluator.cache.capacity].append(live)
+            first, *others = [FitnessCache(capacity, config.policy) for capacity in config.capacities]
+            followers = [CachedEvaluator(fn, cache) for cache in others]
+            evaluator = _Followed(fn, first, followers, config, pop, r) if others else CachedEvaluator(fn, first)
+            live = _run(config, evaluator, pop, r, rng)
+            runs[first.capacity].append(live)
             for follower in followers:
                 # kept only for the tracer's counts (ROADMAP items 1, 2); it draws nothing, so it may share the Rng
-                _run(config, follower, pop, r, rng, partial(_replay, live))
+                config.variant.run(config.bits, pop, follower, rng, steps=partial(_replay, live))
                 cache = follower.cache  # its lookups were made during the live run
                 runs[cache.capacity].append(replace(live, hits=cache.hits, misses=cache.misses))
         for capacity in config.capacities:

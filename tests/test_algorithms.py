@@ -14,6 +14,7 @@ from compactga import (
     Rng,
     RunStats,
     Variant,
+    compete,
     default_inheritance_length,
     onemax,
 )
@@ -100,6 +101,23 @@ def test_round_robin_of_two_reduces_to_cga():
     assert rr2.iterations == base.iterations
     assert rr2.updates == base.updates
     assert rr2.final_pv == base.final_pv
+
+
+@pytest.mark.parametrize("capacity", [0, 4])
+def test_a_steps_source_that_competes_two_samples_runs_as_cga(capacity):
+    def steps(pv, rng, lookup):
+        while True:
+            a, b = pv.sample(rng), pv.sample(rng)
+            fa, fb = lookup(a), lookup(b)
+            yield [compete(a, fa, b, fb)]
+
+    base = Variant("cga").run(16, 8, CachedEvaluator(onemax, FitnessCache(capacity)), Rng(73), trace=True)
+    own = Variant("cga").run(16, 8, CachedEvaluator(onemax, FitnessCache(capacity)), Rng(73), trace=True,
+                             steps=steps)
+    assert own.updates == base.updates
+    assert own.final_pv == base.final_pv
+    assert (own.iterations, own.hits, own.misses) == (base.iterations, base.hits, base.misses)
+    assert (own.hits > 0) == (capacity > 0)
 
 
 def test_round_robin_updates_per_iteration():

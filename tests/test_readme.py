@@ -1,7 +1,7 @@
 import re
 from pathlib import Path
 
-from compactga.cli import main
+from compactga.cli import build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -23,3 +23,10 @@ def test_readme_lists_the_columns_that_the_cli_writes(tmp_path, capsys):
         listed = re.search(rf"^{re.escape(heading)}, in order:\s*`([^`]*)`", text, re.M)
         assert listed, f"README lists no {heading}"
         assert path.read_text().splitlines()[0] == listed.group(1)
+
+
+def test_readme_flag_table_lists_the_flags_that_the_cli_defines():
+    listed = re.findall(r"^\| `(--[a-z-]+)` \|", README.read_text(), re.M)
+    defined = [flag for action in build_parser()._actions if action.dest != "help"
+               for flag in action.option_strings]
+    assert listed == defined

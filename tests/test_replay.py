@@ -223,6 +223,19 @@ def test_an_update_on_a_replayed_vector_changes_neither_the_live_run_nor_a_later
     assert replayed().numerators == final
 
 
+def test_a_sweep_passes_steps_only_to_the_replays(monkeypatch):
+    calls = []
+    run = Variant.run
+
+    def recorded(self, length, population_size, evaluator, rng, **kwargs):
+        calls.append((evaluator.cache.capacity, kwargs.get("steps") is None))
+        return run(self, length, population_size, evaluator, rng, **kwargs)
+
+    monkeypatch.setattr(Variant, "run", recorded)
+    sweep(config_of(capacities=(0, 4, 16), n_values=(6,), runs=3))
+    assert calls == [(0, True), (4, False), (16, False)] * 3
+
+
 @pytest.fixture
 def step_calls(monkeypatch):
     """One entry per step that a kind's generator yields and per ``compete`` call."""
